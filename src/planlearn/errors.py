@@ -56,6 +56,10 @@ class NonFiniteLoss(PlanlearnError):
     """Training loss became NaN or infinite."""
 
 
+class NonFiniteEstimate(PlanlearnError):
+    """A model heuristic produced a NaN or infinite estimate."""
+
+
 class EmptyCandidates(PlanlearnError):
     """Model selection got an empty candidate list."""
 

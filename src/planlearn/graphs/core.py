@@ -122,9 +122,6 @@ class LearningGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edges_with_label(self, label: str) -> list[tuple[int, int]]:
-        return [(u, v) for u, v, lab in self.edges if lab == label]
-
     def adjacency(self, label: str) -> tuple[np.ndarray, np.ndarray]:
         """(dst, src) id arrays for the label, both edge orientations."""
         cached = self._adjacency.get(label)

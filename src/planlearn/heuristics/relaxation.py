@@ -104,7 +104,8 @@ def h_ff(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
                 cand = table.action_cost[i] + a.cost
                 if cand < best_cost:
                     best, best_cost = i, cand
-        assert best is not None, "reachable fact must have an achiever"
+        if best is None:
+            raise RuntimeError(f"reachable fact {p} has no achiever")
         plan.add(best)
         for q in sorted(task.actions[best].pre):
             if q not in state and q not in closed:

@@ -8,6 +8,23 @@ so heuristic estimates are unbounded above.
 
 Forward and backward are implemented here directly; the backward pass
 returns gradients keyed like the parameter dictionary.
+
+Every sum over edges or nodes (sum and mean aggregation, their backward,
+the max tie counts, sum and mean readout) goes through one primitive,
+`_scatter_add`: a single np.bincount over the flat positions index*F +
+column, weighted by the row values. bincount adds each bin's weights in
+input order starting from zero, which is exactly what np.add.at does, so
+results are bit-identical to it and model files, loss traces and search
+counters do not depend on which of the two computes them. Max aggregation
+and max readout go through `_segment_max`: a stable sort by destination
+and np.maximum.reduceat over the resulting segments; max is exact, so it
+equals np.maximum.at too. The operation order is otherwise that of the
+plain formulation above: messages are W_label h, gathered per edge and
+then summed, never reassociated as W_label (A h).
+
+Only numpy is used. A scipy.sparse operator would be faster per product,
+but importing scipy costs tens of MB and a fraction of a second in every
+process that imports this package, which is most of them.
 """
 
 from __future__ import annotations
@@ -118,57 +135,66 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
 
 # ── forward / backward ────────────────────────────────────────────────────
 
+def _scatter_add(index, values, n):
+    """(n, F) rows out[i] = sum of values[e] over index[e] == i, in order.
+
+    The flat index is rebuilt per call: keeping (E*F)-sized index arrays
+    across layers costs more memory than rebuilding them costs time.
+    """
+    width = values.shape[1]
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(),
+                       minlength=n * width).reshape(n, width)
+
+
+def _segment_max(index, values, n):
+    """(n, F) rows out[i] = max of values[e] over index[e] == i; zero if none.
+    `index` must be non-empty."""
+    out = np.zeros((n, values.shape[1]))
+    order = np.argsort(index, kind="stable")
+    keys = index[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    out[keys[starts]] = np.maximum.reduceat(values[order], starts, axis=0)
+    return out
+
+
 def _aggregate(messages, dst, src, n, aggregator, counts):
-    """Aggregate per-edge messages messages[src] into destination rows."""
-    out = np.zeros((n, messages.shape[1]))
+    """Aggregate per-edge messages messages[src] into destination rows;
+    max also returns its result as the backward cache."""
     if len(dst) == 0:
-        return out, None
-    if aggregator == "sum":
-        np.add.at(out, dst, messages[src])
-        return out, None
+        return np.zeros((n, messages.shape[1])), None
+    if aggregator == "max":
+        out = _segment_max(dst, messages[src], n)
+        return out, out
+    out = _scatter_add(dst, messages[src], n)
     if aggregator == "mean":
-        np.add.at(out, dst, messages[src])
-        nz = counts > 0
-        out[nz] /= counts[nz, None]
-        return out, None
-    # max: empty rows are zero by convention
-    filled = np.full((n, messages.shape[1]), -np.inf)
-    np.maximum.at(filled, dst, messages[src])
-    filled[counts == 0] = 0.0
-    return filled, filled
+        out /= np.maximum(counts, 1)[:, None]
+    return out, None
 
 
 def _aggregate_backward(dout, messages, agg_out, dst, src, n, aggregator, counts):
-    """Gradient wrt per-node messages. Returns (N, F) array dM."""
-    dM = np.zeros_like(messages)
-    if len(dst) == 0:
-        return dM
+    """Gradient wrt per-node messages, an (n, F) array. Only max reads
+    `messages` and `agg_out`."""
     if aggregator == "sum":
-        np.add.at(dM, src, dout[dst])
-        return dM
+        return _scatter_add(src, dout[dst], n)
     if aggregator == "mean":
-        scaled = dout / np.maximum(counts, 1)[:, None]
-        np.add.at(dM, src, scaled[dst])
-        return dM
+        return _scatter_add(src, (dout / np.maximum(counts, 1)[:, None])[dst], n)
     # max: route to attaining edges, splitting equally among ties
     attain = (messages[src] == agg_out[dst]).astype(np.float64)
-    tie_count = np.zeros((n, messages.shape[1]))
-    np.add.at(tie_count, dst, attain)
-    weight = attain / np.maximum(tie_count[dst], 1.0)
-    np.add.at(dM, src, dout[dst] * weight)
-    return dM
+    tie_count = _scatter_add(dst, attain, n)
+    attain /= np.maximum(tie_count[dst], 1.0)      # in place: E*F temporaries set peak memory
+    attain *= dout[dst]
+    return _scatter_add(src, attain, n)
 
 
 def _segment_reduce(h, segments, num_graphs, counts, readout):
-    out = np.zeros((num_graphs, h.shape[1]))
-    if readout in ("sum", "mean"):
-        np.add.at(out, segments, h)
-        if readout == "mean":
-            out /= counts[:, None]
-        return out, None
-    filled = np.full((num_graphs, h.shape[1]), -np.inf)
-    np.maximum.at(filled, segments, h)
-    return filled, filled
+    if readout == "max":
+        out = _segment_max(segments, h, num_graphs)
+        return out, out
+    out = _scatter_add(segments, h, num_graphs)
+    if readout == "mean":
+        out /= counts[:, None]
+    return out, None
 
 
 def _segment_reduce_backward(dout, h, reduced, segments, counts, readout):
@@ -177,8 +203,7 @@ def _segment_reduce_backward(dout, h, reduced, segments, counts, readout):
     if readout == "mean":
         return dout[segments] / counts[segments, None]
     attain = (h == reduced[segments]).astype(np.float64)
-    tie_count = np.zeros_like(reduced)
-    np.add.at(tie_count, segments, attain)
+    tie_count = _scatter_add(segments, attain, len(reduced))
     return dout[segments] * attain / np.maximum(tie_count[segments], 1.0)
 
 
@@ -255,7 +280,7 @@ def backward_packed(model: MpnnModel, batch: PackedBatch, cache, dout: np.ndarra
             if len(dst) == 0:
                 continue
             w = p[f"layer{t}.label.{lab}"]
-            messages = h_in @ w.T
+            messages = h_in @ w.T if model.aggregator == "max" else None
             dM = _aggregate_backward(dz, messages, agg_cache[lab], dst, src,
                                      h_in.shape[0], model.aggregator, counts[lab])
             grads[f"layer{t}.label.{lab}"][:] = dM.T @ h_in

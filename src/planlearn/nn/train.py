@@ -69,16 +69,10 @@ class TrainTrace:
     rows: list[TraceRow] = field(default_factory=list)
     stop_reason: str = ""
 
-    def to_csv(self, with_timings: bool = False) -> str:
-        cols = "epoch,train_loss,holdout_loss,lr"
-        if with_timings:
-            cols += ",seconds"
-        lines = [cols]
-        for r in self.rows:
-            line = f"{r.epoch},{r.train_loss!r},{r.holdout_loss!r},{r.lr!r}"
-            if with_timings:
-                line += f",{r.seconds!r}"
-            lines.append(line)
+    def to_csv(self) -> str:
+        lines = ["epoch,train_loss,holdout_loss,lr"]
+        lines.extend(f"{r.epoch},{r.train_loss!r},{r.holdout_loss!r},{r.lr!r}"
+                     for r in self.rows)
         return "\n".join(lines) + "\n"
 
     def timings_csv(self) -> str:

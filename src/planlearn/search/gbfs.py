@@ -14,6 +14,7 @@ import math
 import time
 from dataclasses import dataclass
 
+from ..errors import InvalidPlan
 from ..task.model import initial_state, is_goal, successors, validate_plan
 from .heuristics import ConstantHeuristic
 
@@ -67,7 +68,8 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
         cost = None
         if plan is not None:
             check = validate_plan(task, plan)
-            assert check.valid, f"search produced an invalid plan: {check.reason}"
+            if not check.valid:
+                raise InvalidPlan(f"search produced an invalid plan: {check.reason}")
             cost = check.cost
         return SearchResult(status, plan, expansions, evaluations, generated,
                             cost, time.perf_counter_ns() - start_ns, peak_open)
@@ -136,7 +138,8 @@ def blind(task, config: SearchConfig | None = None) -> SearchResult:
 
 def format_plan(task, result: SearchResult) -> str:
     """One action name per line plus a trailing cost comment."""
-    assert result.status == "solved" and result.plan is not None
+    if result.status != "solved" or result.plan is None:
+        raise ValueError(f"no plan to format: search ended {result.status!r}")
     lines = [task.actions[aid].name for aid in result.plan]
     lines.append(f"; cost = {result.plan_cost} (unit cost)")
     return "\n".join(lines) + "\n"

@@ -2,13 +2,16 @@
 
 A search heuristic exposes evaluate_batch(states) -> list of floats, with
 float('inf') marking states to prune. Model-backed heuristics clamp outputs
-at zero (estimates are cost-to-go); training never clamps.
+at zero (estimates are cost-to-go) and raise NonFiniteEstimate on NaN or
+infinite outputs, which would otherwise prune a state or break the heap
+order; training never clamps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import NonFiniteEstimate
 from ..graphs.builders import build_flg, build_llg, build_slg
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import h_plus, h_star
@@ -118,4 +121,6 @@ class ModelHeuristic:
             return []
         graphs = [self._graph_for(s) for s in states]
         out = forward_batch(self.model, graphs)
+        if not np.isfinite(out).all():
+            raise NonFiniteEstimate(f"{self.model.kind.name} model gave a non-finite estimate")
         return np.maximum(out, 0.0).tolist()

@@ -1,5 +1,9 @@
+import importlib
 from collections import deque
 
+import pytest
+
+from planlearn.errors import InvalidPlan, NonFiniteEstimate
 from planlearn.expressiveness import grounded_twin_pair, lifted_twin_pair
 from planlearn.search import (
     ConstantHeuristic,
@@ -162,6 +166,40 @@ def test_format_plan(gripper_ground):
     lines = text.strip().splitlines()
     assert len(lines) == r.plan_cost + 1
     assert lines[-1] == f"; cost = {r.plan_cost} (unit cost)"
+
+
+def test_format_plan_rejects_unsolved():
+    p1, _ = grounded_twin_pair()
+    r = gbfs(p1, ConstantHeuristic(0), SearchConfig(timeout_s=1e-9))
+    with pytest.raises(ValueError, match="timeout"):
+        format_plan(p1, r)
+
+
+def test_invalid_plan_raises(gripper_ground, monkeypatch):
+    """The plan check is a raised exception, so it survives `python -O`."""
+    from planlearn.task.model import PlanCheck
+
+    gbfs_module = importlib.import_module("planlearn.search.gbfs")   # the package exports the function
+    task, _ = gripper_ground
+    monkeypatch.setattr(gbfs_module, "validate_plan",
+                        lambda task, plan: PlanCheck(False, 0, "patched"))
+    with pytest.raises(InvalidPlan, match="patched"):
+        blind(task)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_model_heuristic_rejects_non_finite_output(gripper_ground, bad):
+    from planlearn.graphs import slg_kind
+    from planlearn.nn import init_model
+    from planlearn.search import ModelHeuristic
+
+    task, _ = gripper_ground
+    model = init_model(slg_kind(), layer_count=2, hidden_dim=8, seed=0)
+    model.params["head.b2"][0] = bad
+    with pytest.raises(NonFiniteEstimate):
+        ModelHeuristic(model, task).evaluate_batch([task.init])
+    with pytest.raises(NonFiniteEstimate):
+        gbfs(task, ModelHeuristic(model, task))
 
 
 def test_experiment_coverage_and_determinism(gripper_ground):
