@@ -21,7 +21,6 @@ from .bench import SuiteSpec, build_training_set, default_suite, generate, load_
 from .errors import PlanlearnError
 from .expressiveness import run_theory_checks
 from .graphs import IndexEncoder, build_flg, build_llg, build_slg, graph_to_dot, graph_to_json
-from .heuristics import h_dp, h_ff, h_plus, h_star
 from .nn import TrainConfig, load_model, save_model, train
 from .search import (
     ConstantHeuristic,
@@ -33,6 +32,7 @@ from .search import (
     gbfs,
     run_experiment,
 )
+from .search.heuristics import ORACLES
 from .task import dump_strips, ground, parse_pddl, parse_sas, strips_view
 from .task.ground import ground_state_atoms
 
@@ -200,14 +200,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     strips, _, _, _ = _load_tasks(args)
     start = time.perf_counter_ns()
-    if args.heuristic in ("hmax", "hadd"):
-        value = h_dp(strips, strips.init, args.heuristic[1:])
-    elif args.heuristic == "hff":
-        value = h_ff(strips, strips.init)
-    elif args.heuristic == "hplus":
-        value = h_plus(strips)
-    else:
-        value = h_star(strips)
+    value = ORACLES[args.heuristic](strips, strips.init)
     nanos = time.perf_counter_ns() - start
     payload = {
         "heuristic": args.heuristic,
@@ -345,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("oracle", cmd_oracle, "print exact heuristic values as JSON")
     p.add_argument("--domain"), p.add_argument("--problem"), p.add_argument("--sas")
     p.add_argument("--heuristic", required=True,
-                   choices=("hmax", "hadd", "hff", "hplus", "hstar"))
+                   choices=tuple(ORACLES))
     p.add_argument("--out-dir", help="also record run.json and oracle.json here")
 
     p = add("theory", cmd_theory, "run all expressiveness checks")

@@ -1,16 +1,28 @@
-"""Delete-relaxation heuristics by naive dynamic programming.
+"""Delete-relaxation heuristics by Jacobi sweeps over incidence arrays.
 
-The fixpoint alternates an action update (combine over preconditions with
-sum or max) and a proposition update (min over achievers plus cost) until
-the proposition table stops changing; the heuristic is the combination over
-goal facts. The relaxed-plan heuristic extracts best supporters from the
-additive fixpoint.
+Each task carries its precondition and achiever incidence as flat index
+arrays (`StripsTask.incidence`, built once per task). One sweep is an action
+update, the sum (h_add) or max (h_max) of the proposition table over each
+action's precondition segment with `reduceat`, followed by a proposition
+update: each proposition takes the minimum of its old value and of action
+value plus action cost over its achiever segment. Actions without
+preconditions have value 0; propositions without achievers keep their
+value. Neither update reads a partly updated table. Sweeps repeat until
+the proposition table stops changing, so the iteration count includes the
+final unchanged sweep. Costs are non-negative integers, so every sum is an
+exact integer-valued float and the tables do not depend on summation order.
+
+The heuristic is the combination over goal facts. The relaxed-plan
+heuristic extracts best supporters from the additive fixpoint by walking
+each fact's achievers in ascending action id.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..task.model import StripsTask
 from .values import HeuristicValue, from_float
@@ -32,33 +44,28 @@ def relaxation_table(task: StripsTask, state: frozenset[int], which: str,
                      keep_history: bool = False) -> RelaxationTable:
     if which not in ("add", "max"):
         raise ValueError(f"which must be 'add' or 'max', got {which!r}")
-    combine = sum if which == "add" else max
-    n = len(task.propositions)
-    h = [0.0 if p in state else math.inf for p in range(n)]
-    ha = [math.inf] * len(task.actions)
-    achievers: list[list[int]] = [[] for _ in range(n)]
-    for i, a in enumerate(task.actions):
-        for p in a.add:
-            achievers[p].append(i)
+    combine = np.add if which == "add" else np.maximum
+    inc = task.incidence
+    h = np.full(len(task.propositions), math.inf)
+    h[np.fromiter(state, dtype=np.intp, count=len(state))] = 0.0
+    ha = np.zeros(len(task.actions))
 
-    history = [tuple(h)] if keep_history else []
+    history = [tuple(h.tolist())] if keep_history else []
     iterations = 0
     while True:
         iterations += 1
-        for i, a in enumerate(task.actions):
-            ha[i] = combine([h[p] for p in a.pre]) if a.pre else 0.0
-        new = list(h)
-        for p in range(n):
-            for i in achievers[p]:
-                cand = ha[i] + task.actions[i].cost
-                if cand < new[p]:
-                    new[p] = cand
+        ha[inc.pre_actions] = combine.reduceat(h[inc.pre], inc.pre_starts)
+        best = np.minimum.reduceat((ha + inc.cost)[inc.achievers], inc.ach_starts)
+        new = h.copy()
+        new[inc.ach_props] = np.minimum(h[inc.ach_props], best)
         if keep_history:
-            history.append(tuple(new))
-        if new == h:
+            history.append(tuple(new.tolist()))
+        # Entries are +0.0, positive integer-valued floats or +inf (never NaN
+        # or -0.0), so equal bytes means equal tables.
+        if new.tobytes() == h.tobytes():
             break
         h = new
-    return RelaxationTable(tuple(h), tuple(ha), iterations, tuple(history))
+    return RelaxationTable(tuple(h.tolist()), tuple(ha.tolist()), iterations, tuple(history))
 
 
 def _goal_value(task: StripsTask, table: RelaxationTable, which: str) -> float:
@@ -89,25 +96,20 @@ def h_ff(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
     table = relaxation_table(task, state, "add")
     if any(math.isinf(table.prop_cost[p]) for p in task.goal):
         return from_float(math.inf, table.iterations)
+    inc = task.incidence
+    support = np.add(table.action_cost, inc.cost).tolist()
     plan: set[int] = set()
-    agenda = [p for p in sorted(task.goal) if p not in state]
-    closed: set[int] = set()
+    agenda = list(task.goal)
+    closed = set(state)
     while agenda:
         p = agenda.pop()
         if p in closed:
             continue
         closed.add(p)
-        best = None
-        best_cost = math.inf
-        for i, a in enumerate(task.actions):
-            if p in a.add:
-                cand = table.action_cost[i] + a.cost
-                if cand < best_cost:
-                    best, best_cost = i, cand
-        if best is None:
+        # min keeps the first minimum, and supporters ascend by action id
+        best = min(inc.supporters[p], key=support.__getitem__, default=None)
+        if best is None or math.isinf(support[best]):
             raise RuntimeError(f"reachable fact {p} has no achiever")
         plan.add(best)
-        for q in sorted(task.actions[best].pre):
-            if q not in state and q not in closed:
-                agenda.append(q)
+        agenda.extend(task.actions[best].pre)
     return HeuristicValue(len(plan), table.iterations)

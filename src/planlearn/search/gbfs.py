@@ -5,6 +5,10 @@ first-in-first-out, so with a zero heuristic the search degenerates to
 breadth-first and returns optimal plans under unit costs. Duplicate states
 are detected against everything already evaluated; re-opening is disabled.
 Every returned plan is validated before the result is handed back.
+
+The deadline is checked only between expansions, so a search can overrun
+timeout_s by one expansion: successor generation for one node plus the
+evaluate_batch calls on its fresh successors.
 """
 
 from __future__ import annotations

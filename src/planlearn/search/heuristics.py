@@ -37,7 +37,7 @@ class FunctionHeuristic:
         return [float(self.fn(s)) for s in states]
 
 
-_ORACLES = {
+ORACLES = {
     "hmax": lambda task, s: h_dp(task, s, "max"),
     "hadd": lambda task, s: h_dp(task, s, "add"),
     "hff": h_ff,
@@ -50,13 +50,13 @@ class OracleHeuristic:
     """Exact reference heuristic bound to a propositional task."""
 
     def __init__(self, task: StripsTask, which: str):
-        if which not in _ORACLES:
-            raise ValueError(f"unknown oracle {which!r}; choose from {sorted(_ORACLES)}")
+        if which not in ORACLES:
+            raise ValueError(f"unknown oracle {which!r}; choose from {sorted(ORACLES)}")
         self.task = task
         self.which = which
 
     def evaluate_batch(self, states):
-        fn = _ORACLES[self.which]
+        fn = ORACLES[self.which]
         return [float(fn(self.task, s)) for s in states]
 
 

@@ -3,12 +3,16 @@
 States are plain values: a frozenset of proposition ids for STRIPS, a tuple
 of value indexes (one per variable) for FDR, a frozenset of ground atoms for
 lifted tasks. All task objects are immutable after construction and safe to
-share across threads.
+share across threads; a StripsTask computes its relaxation incidence on
+first use and keeps it, derived only from its immutable fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..errors import ArityMismatch, UndeclaredSymbol, UnknownActionId
 
@@ -134,6 +138,54 @@ class StripsTask:
 
     def action_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.actions)
+
+    @cached_property
+    def incidence(self) -> RelaxedIncidence:
+        """Precondition and achiever incidence, built on first use and kept
+        for the task's lifetime (outside eq and hash)."""
+        return RelaxedIncidence.of(self)
+
+
+@dataclass(frozen=True, eq=False)
+class RelaxedIncidence:
+    """Flat index arrays of a STRIPS task's delete relaxation.
+
+    `pre` lists precondition ids grouped by action in ascending action
+    order; `pre_actions` are the actions with at least one precondition and
+    `pre_starts` their segment starts in `pre`. `achievers` lists achiever
+    action ids grouped by proposition, ascending action id within each
+    group; `ach_props` are the propositions with at least one achiever and
+    `ach_starts` their segment starts. `supporters[p]` is the achiever group
+    of p as a tuple, empty when p has none. `cost` holds action costs.
+    """
+
+    pre: np.ndarray
+    pre_actions: np.ndarray
+    pre_starts: np.ndarray
+    achievers: np.ndarray
+    ach_props: np.ndarray
+    ach_starts: np.ndarray
+    supporters: tuple[tuple[int, ...], ...]
+    cost: np.ndarray
+
+    @classmethod
+    def of(cls, task: StripsTask) -> RelaxedIncidence:
+        pre_sizes = np.array([len(a.pre) for a in task.actions], dtype=np.intp)
+        pre = np.array([p for a in task.actions for p in sorted(a.pre)], dtype=np.intp)
+        pre_actions = np.flatnonzero(pre_sizes)
+        pre_starts = (np.cumsum(pre_sizes) - pre_sizes)[pre_actions]
+        add_sizes = [len(a.add) for a in task.actions]
+        added = np.array([p for a in task.actions for p in a.add], dtype=np.intp)
+        adder = np.repeat(np.arange(len(task.actions), dtype=np.intp), add_sizes)
+        achievers = adder[np.argsort(added, kind="stable")]
+        counts = np.bincount(added, minlength=len(task.propositions))
+        bounds = np.concatenate(([0], np.cumsum(counts)))
+        ach_props = np.flatnonzero(counts)
+        flat, ends = achievers.tolist(), bounds.tolist()
+        supporters = tuple(tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:]))
+        cost = np.array([a.cost for a in task.actions], dtype=np.float64)
+        return cls(pre, pre_actions, pre_starts, achievers, ach_props, bounds[ach_props],
+                   supporters, cost)
 
 
 @dataclass(frozen=True)

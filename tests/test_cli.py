@@ -68,6 +68,25 @@ def test_oracle_json(capsys):
     assert "nanoseconds" in payload
 
 
+# oracle.json on the gripper fixture as written before cmd_oracle looked its
+# heuristic up in the search oracle table.
+ORACLE_JSON = {
+    "hmax": '{\n "heuristic": "hmax",\n "value": 2,\n "iterations": 3\n}\n',
+    "hadd": '{\n "heuristic": "hadd",\n "value": 3,\n "iterations": 3\n}\n',
+    "hff": '{\n "heuristic": "hff",\n "value": 3,\n "iterations": 3\n}\n',
+    "hplus": '{\n "heuristic": "hplus",\n "value": 3,\n "iterations": 0\n}\n',
+    "hstar": '{\n "heuristic": "hstar",\n "value": 3,\n "iterations": 0\n}\n',
+}
+
+
+def test_oracle_json_bytes_unchanged(tmp_path, capsys):
+    for heuristic, expected in ORACLE_JSON.items():
+        out = tmp_path / heuristic
+        assert run(["oracle", "--domain", DOMAIN, "--problem", PROBLEM,
+                    "--heuristic", heuristic, "--out-dir", str(out)]) == 0
+        assert (out / "oracle.json").read_bytes() == expected.encode()
+
+
 def test_oracle_sas_input(capsys):
     assert run(["oracle", "--sas", str(FIXTURES / "gripper-b1.sas"),
                 "--heuristic", "hstar"]) == 0
