@@ -166,12 +166,11 @@ def _search_setup(args, strips, gmap, lifted, fdr):
             from .task import binary_fdr_view
             fdr = binary_fdr_view(strips)
         return fdr, ModelHeuristic(model, fdr)
-    if model.kind.name == "llg":
-        if lifted is None:
-            raise UsageError("lifted-encoding models need --domain/--problem input")
-        # index embeddings must match training: derive from the model's seed
-        return strips, ModelHeuristic(model, strips, lifted=lifted, gmap=gmap)
-    return strips, ModelHeuristic(model, strips)
+    if model.kind.name == "llg" and lifted is None:
+        raise UsageError("lifted-encoding models need --domain/--problem input")
+    # slg models ignore lifted and gmap; llg index embeddings derive from the
+    # model's seed, as in training
+    return strips, ModelHeuristic(model, strips, lifted=lifted, gmap=gmap)
 
 
 def cmd_solve(args) -> int:
@@ -239,10 +238,10 @@ def cmd_experiment(args) -> int:
     if not instances:
         raise UsageError(f"split {args.split!r} is empty")
     tasks = []
-    grounded = {}
+    grounding = {}      # id of each ground task -> (grounding map, lifted task)
     for inst in instances:
         strips, gmap = ground(inst.task)
-        grounded[inst.name] = (strips, gmap, inst.task)
+        grounding[id(strips)] = (gmap, inst.task)
         tasks.append((inst.name, strips))
 
     factories = []
@@ -257,11 +256,8 @@ def cmd_experiment(args) -> int:
                                  "solve finite-domain models with the solve subcommand")
 
             def factory(task, model=model):
-                name = next(n for n, (s, _, _) in grounded.items() if s is task)
-                strips, gmap, lifted = grounded[name]
-                if model.kind.name == "llg":
-                    return ModelHeuristic(model, strips, lifted=lifted, gmap=gmap)
-                return ModelHeuristic(model, strips)
+                gmap, lifted = grounding[id(task)]
+                return ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
 
             factories.append((f"model-{model.kind.name}", factory))
         else:

@@ -60,10 +60,6 @@ class NonFiniteEstimate(PlanlearnError):
     """A model heuristic produced a NaN or infinite estimate."""
 
 
-class EmptyCandidates(PlanlearnError):
-    """Model selection got an empty candidate list."""
-
-
 class FormatVersionMismatch(PlanlearnError):
     """Stored file declares an unsupported format version."""
 

@@ -43,15 +43,12 @@ def build_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
     if len(state) != len(task.variables):
         raise ValueError("state must assign every variable")
     n_v = len(task.variables)
-    value_node: dict[tuple[int, int], int] = {}
+    offsets = task.value_offsets
+    value_node = {(v, d): n_v + offsets[v] + d
+                  for v, var in enumerate(task.variables) for d in range(len(var.values))}
     names = [v.name for v in task.variables]
-    next_id = n_v
-    for v, var in enumerate(task.variables):
-        for d, val in enumerate(var.values):
-            value_node[(v, d)] = next_id
-            names.append(f"{var.name}={val}")
-            next_id += 1
-    action_base = next_id
+    names.extend(f"{var.name}={val}" for var in task.variables for val in var.values)
+    action_base = n_v + len(value_node)
     names.extend(a.name for a in task.actions)
     total = action_base + len(task.actions)
 

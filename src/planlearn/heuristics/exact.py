@@ -11,7 +11,7 @@ import itertools
 from collections import deque
 
 from ..errors import BudgetExceeded
-from ..task.model import StripsTask, apply, initial_state, is_goal
+from ..task.model import StripsTask, initial_state, plan_from_parents, successors
 from .values import INFINITY, HeuristicValue
 
 DEFAULT_STATE_CAP = 10**6
@@ -27,12 +27,9 @@ def _dijkstra(task, start, state_cap: int, with_parents: bool):
         d, _, s = heapq.heappop(heap)
         if d > dist[s]:
             continue
-        if is_goal(task, s):
+        if task.is_goal(s):
             return d, s, parents
-        for aid in range(len(task.actions)):
-            nxt = apply(task, s, aid)
-            if nxt is None:
-                continue
+        for aid, nxt in successors(task, s):
             nd = d + task.actions[aid].cost
             if nxt not in dist or nd < dist[nxt]:
                 dist[nxt] = nd
@@ -60,13 +57,7 @@ def optimal_plan(task, state=None, state_cap: int = DEFAULT_STATE_CAP):
     cost, goal_state, parents = _dijkstra(task, state, state_cap, with_parents=True)
     if cost is None:
         return None
-    plan = []
-    s = goal_state
-    while parents[s] is not None:
-        s, aid = parents[s]
-        plan.append(aid)
-    plan.reverse()
-    return plan
+    return plan_from_parents(parents, goal_state)
 
 
 def delete_relax(task: StripsTask) -> StripsTask:
@@ -164,7 +155,7 @@ def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):
     queue = deque([start])
     while queue:
         s = queue.popleft()
-        for _, nxt in _successor_pairs(task, s):
+        for _, nxt in successors(task, s):
             if nxt not in seen:
                 seen.add(nxt)
                 if len(seen) > state_cap:
@@ -172,10 +163,3 @@ def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):
                 order.append(nxt)
                 queue.append(nxt)
     return order
-
-
-def _successor_pairs(task, s):
-    for aid in range(len(task.actions)):
-        nxt = apply(task, s, aid)
-        if nxt is not None:
-            yield aid, nxt

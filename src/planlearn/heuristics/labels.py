@@ -4,7 +4,7 @@ states it visits with targets g, g-1, ..., 0."""
 from __future__ import annotations
 
 from ..errors import InvalidPlan
-from ..task.model import apply, initial_state, validate_plan
+from ..task.model import initial_state, validate_plan
 
 
 def label_dataset(task, plan) -> list[tuple[object, int]]:
@@ -16,6 +16,6 @@ def label_dataset(task, plan) -> list[tuple[object, int]]:
     g = len(plan)
     for i, aid in enumerate(plan):
         samples.append((state, g - i))
-        state = apply(task, state, aid)
+        state = task.apply(state, aid)
     samples.append((state, 0))
     return samples

@@ -1,4 +1,4 @@
-"""Message-passing network: forward, training, selection, storage."""
+"""Message-passing network: forward, training, storage."""
 
 from .model import (
     MpnnModel,
@@ -17,15 +17,12 @@ from .train import (
     LrSchedule,
     TrainConfig,
     TrainTrace,
-    ValidationStats,
-    select_model,
     train,
 )
 
 __all__ = [
     "Adam", "LabeledGraphSample", "LrSchedule", "MpnnModel", "PackedBatch",
-    "TrainConfig", "TrainTrace", "ValidationStats", "backward_packed",
-    "forward", "forward_batch", "forward_packed", "init_model", "load_model",
-    "model_from_json", "model_to_json", "pack_graphs", "save_model",
-    "select_model", "train",
+    "TrainConfig", "TrainTrace", "backward_packed", "forward", "forward_batch",
+    "forward_packed", "init_model", "load_model", "model_from_json",
+    "model_to_json", "pack_graphs", "save_model", "train",
 ]

@@ -55,9 +55,6 @@ class MpnnModel:
     def labels(self) -> tuple[str, ...]:
         return self.kind.labels
 
-    def param_names(self) -> list[str]:
-        return sorted(self.params)
-
     def num_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 

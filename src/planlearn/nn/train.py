@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import EmptyCandidates, EmptyDataset, NonFiniteLoss
+from ..errors import EmptyDataset, NonFiniteLoss
 from ..graphs.core import LearningGraph
 from ..seeding import rng_for
 from .model import MpnnModel, backward_packed, forward_packed, init_model, pack_graphs
@@ -195,25 +195,3 @@ def train(samples: list[LabeledGraphSample], config: TrainConfig | None = None,
     else:
         trace.stop_reason = "max-epochs"
     return model, trace
-
-
-@dataclass(frozen=True)
-class ValidationStats:
-    solved_count: int
-    total_expansions: int
-    train_loss: float
-
-
-def select_model(candidates: list[tuple[MpnnModel, ValidationStats]]) -> MpnnModel:
-    """Most validation problems solved; ties broken by fewer expansions, then
-    lower training loss, then candidate order."""
-    if not candidates:
-        raise EmptyCandidates("no candidate models")
-    best_i = 0
-    best_key = None
-    for i, (_, stats) in enumerate(candidates):
-        key = (-stats.solved_count, stats.total_expansions, stats.train_loss)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_i = i
-    return candidates[best_i][0]

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import InvalidPlan
-from ..task.model import initial_state, is_goal, successors, validate_plan
+from ..task.model import initial_state, plan_from_parents, successors, validate_plan
 from .heuristics import ConstantHeuristic
 
 
@@ -80,7 +80,7 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
 
     expansions = evaluations = generated = peak_open = 0
     root = initial_state(task)
-    if is_goal(task, root):
+    if task.is_goal(root):
         return result("solved", [])
 
     seen = {root}
@@ -112,14 +112,8 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
         _, _, state = heapq.heappop(open_heap)
         if state in closed:
             continue
-        if is_goal(task, state):
-            plan = []
-            s = state
-            while parents[s] is not None:
-                s, aid = parents[s]
-                plan.append(aid)
-            plan.reverse()
-            return result("solved", plan)
+        if task.is_goal(state):
+            return result("solved", plan_from_parents(parents, state))
         closed.add(state)
         expansions += 1
         fresh = []

@@ -83,12 +83,7 @@ class ModelHeuristic:
             if not isinstance(task, FdrTask):
                 raise TypeError("flg models evaluate finite-domain tasks")
             self._template = build_flg(task, task.init)
-            offsets = []
-            total = len(task.variables)
-            for var in task.variables:
-                offsets.append(total)
-                total += len(var.values)
-            self._value_offsets = offsets
+            self._value_base = len(task.variables)
         elif kind == "llg":
             if lifted is None or gmap is None or not isinstance(task, StripsTask):
                 raise TypeError("llg models need the ground task, its lifted task "
@@ -111,8 +106,9 @@ class ModelHeuristic:
         if kind == "flg":
             features = self._template.features.copy()
             features[:, 3] = 0.0
+            offsets = self.task.value_offsets
             for v, d in enumerate(state):
-                features[self._value_offsets[v] + d, 3] = 1.0
+                features[self._value_base + offsets[v] + d, 3] = 1.0
             return self._template.with_features(features)
         return build_llg(self.lifted, ground_state_atoms(self.gmap, state), self.encoder)
 

@@ -13,14 +13,10 @@ from .model import (
     Schema,
     StripsAction,
     StripsTask,
-    apply,
-    apply_fdr,
-    apply_strips,
     as_lifted,
     binary_fdr_view,
     fdr_state_to_strips,
     initial_state,
-    is_goal,
     strips_state_atoms,
     strips_view,
     successors,
@@ -32,9 +28,8 @@ from .sas import parse_sas
 __all__ = [
     "Atom", "FdrAction", "FdrTask", "FdrVariable", "GroundingMap", "LiftedTask",
     "PlanCheck", "Predicate", "Schema", "StripsAction", "StripsTask",
-    "apply", "apply_fdr", "apply_strips", "as_lifted", "binary_fdr_view",
-    "dump_strips", "fdr_state_to_strips", "ground", "ground_state_atoms",
-    "initial_state", "is_goal", "load_strips", "parse_pddl", "parse_sas",
-    "static_predicates", "strips_state_atoms", "strips_view", "successors",
-    "validate_plan",
+    "as_lifted", "binary_fdr_view", "dump_strips", "fdr_state_to_strips",
+    "ground", "ground_state_atoms", "initial_state", "load_strips", "parse_pddl",
+    "parse_sas", "static_predicates", "strips_state_atoms", "strips_view",
+    "successors", "validate_plan",
 ]

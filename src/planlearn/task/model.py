@@ -2,9 +2,17 @@
 
 States are plain values: a frozenset of proposition ids for STRIPS, a tuple
 of value indexes (one per variable) for FDR, a frozenset of ground atoms for
-lifted tasks. All task objects are immutable after construction and safe to
-share across threads; a StripsTask computes its relaxation incidence on
-first use and keeps it, derived only from its immutable fields.
+lifted tasks. Each ground task class carries its own successor semantics:
+`apply(state, aid)` returns the successor, or None when the action is
+inapplicable, and `is_goal(state)` tests the goal. `successors` is the single
+successor generator; it returns (action id, successor) pairs in action order,
+which gbfs's first-in-first-out tie-break (and with it breadth-first
+optimality of blind search) relies on.
+
+All task objects are immutable after construction and safe to share across
+threads; derived tables (a StripsTask's relaxation incidence, an FdrTask's
+value offsets) are computed on first use and kept, derived only from the
+immutable fields.
 """
 
 from __future__ import annotations
@@ -136,8 +144,15 @@ class StripsTask:
                 if not all(0 <= p < n for p in s):
                     raise ValueError(f"action {a.name} mentions unknown proposition id")
 
-    def action_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.actions)
+    def apply(self, state: frozenset[int], action_id: int) -> frozenset[int] | None:
+        """Successor state, or None when the action is inapplicable."""
+        a = self.actions[action_id]
+        if not a.pre <= state:
+            return None
+        return (state - a.dele) | a.add
+
+    def is_goal(self, state: frozenset[int]) -> bool:
+        return self.goal <= state
 
     @cached_property
     def incidence(self) -> RelaxedIncidence:
@@ -232,36 +247,33 @@ class FdrTask:
                     raise ValueError(f"{label}: variable {v} assigned twice")
                 seen.add(v)
 
+    def apply(self, state: tuple[int, ...], action_id: int) -> tuple[int, ...] | None:
+        """Successor state, or None when the action is inapplicable."""
+        a = self.actions[action_id]
+        for v, d in a.pre:
+            if state[v] != d:
+                return None
+        new = list(state)
+        for v, d in a.eff:
+            new[v] = d
+        return tuple(new)
+
+    def is_goal(self, state: tuple[int, ...]) -> bool:
+        return all(state[v] == d for v, d in self.goal)
+
+    @cached_property
+    def value_offsets(self) -> tuple[int, ...]:
+        """Index of each variable's first value when all values are numbered
+        consecutively, variable by variable (fact <v,d> gets offsets[v] + d)."""
+        offsets = []
+        total = 0
+        for var in self.variables:
+            offsets.append(total)
+            total += len(var.values)
+        return tuple(offsets)
+
 
 # ── state semantics ───────────────────────────────────────────────────────
-
-def apply_strips(task: StripsTask, state: frozenset[int], action_id: int):
-    """Successor state, or None when the action is inapplicable."""
-    a = task.actions[action_id]
-    if not a.pre <= state:
-        return None
-    return (state - a.dele) | a.add
-
-
-def apply_fdr(task: FdrTask, state: tuple[int, ...], action_id: int):
-    a = task.actions[action_id]
-    for v, d in a.pre:
-        if state[v] != d:
-            return None
-    new = list(state)
-    for v, d in a.eff:
-        new[v] = d
-    return tuple(new)
-
-
-def apply(task, state, action_id: int):
-    """Dispatching successor function; inapplicability is the value None."""
-    if isinstance(task, StripsTask):
-        return apply_strips(task, state, action_id)
-    if isinstance(task, FdrTask):
-        return apply_fdr(task, state, action_id)
-    raise TypeError(f"no successor semantics for {type(task).__name__}")
-
 
 def initial_state(task):
     if isinstance(task, StripsTask):
@@ -271,19 +283,12 @@ def initial_state(task):
     raise TypeError(f"no state semantics for {type(task).__name__}")
 
 
-def is_goal(task, state) -> bool:
-    if isinstance(task, StripsTask):
-        return task.goal <= state
-    if isinstance(task, FdrTask):
-        return all(state[v] == d for v, d in task.goal)
-    raise TypeError(f"no goal semantics for {type(task).__name__}")
-
-
 def successors(task, state):
     """All (action_id, successor) pairs applicable in state, in action order."""
+    apply = task.apply
     out = []
     for i in range(len(task.actions)):
-        nxt = apply(task, state, i)
+        nxt = apply(state, i)
         if nxt is not None:
             out.append((i, nxt))
     return out
@@ -306,14 +311,25 @@ def validate_plan(task, plan) -> PlanCheck:
     state = initial_state(task)
     cost = 0
     for step, aid in enumerate(plan):
-        nxt = apply(task, state, aid)
+        nxt = task.apply(state, aid)
         if nxt is None:
             return PlanCheck(False, cost, f"step {step} ({task.actions[aid].name}) inapplicable")
         cost += task.actions[aid].cost
         state = nxt
-    if not is_goal(task, state):
+    if not task.is_goal(state):
         return PlanCheck(False, cost, "final state does not satisfy the goal")
     return PlanCheck(True, cost)
+
+
+def plan_from_parents(parents, state) -> list[int]:
+    """The action ids leading to state, read back through a parent map of
+    state -> (predecessor, action id), with None at the start state."""
+    plan = []
+    while parents[state] is not None:
+        state, aid = parents[state]
+        plan.append(aid)
+    plan.reverse()
+    return plan
 
 
 # ── views between formalisms ──────────────────────────────────────────────
@@ -324,34 +340,26 @@ def strips_view(task: FdrTask) -> StripsTask:
     An effect <v,d> deletes every other fact of v; sound because FDR states
     are total assignments, and it makes the two state spaces isomorphic.
     """
-    prop_id: dict[tuple[int, int], int] = {}
-    names = []
-    for v, var in enumerate(task.variables):
-        for d, val in enumerate(var.values):
-            prop_id[(v, d)] = len(names)
-            names.append(f"{var.name}={val}")
+    offsets = task.value_offsets
+    names = [f"{var.name}={val}" for var in task.variables for val in var.values]
     actions = []
     for a in task.actions:
-        pre = frozenset(prop_id[(v, d)] for v, d in a.pre)
-        add = frozenset(prop_id[(v, d)] for v, d in a.eff)
+        pre = frozenset(offsets[v] + d for v, d in a.pre)
+        add = frozenset(offsets[v] + d for v, d in a.eff)
         dele = frozenset(
-            prop_id[(v, d2)]
+            offsets[v] + d2
             for v, d in a.eff
             for d2 in range(len(task.variables[v].values))
             if d2 != d)
         actions.append(StripsAction(a.name, pre, add, dele, a.cost))
-    init = frozenset(prop_id[(v, d)] for v, d in enumerate(task.init))
-    goal = frozenset(prop_id[(v, d)] for v, d in task.goal)
+    init = fdr_state_to_strips(task, task.init)
+    goal = frozenset(offsets[v] + d for v, d in task.goal)
     return StripsTask(tuple(names), tuple(actions), init, goal, name=task.name)
 
 
 def fdr_state_to_strips(task: FdrTask, state: tuple[int, ...]) -> frozenset[int]:
     """Map an FDR state to the corresponding strips_view state."""
-    offsets = []
-    total = 0
-    for var in task.variables:
-        offsets.append(total)
-        total += len(var.values)
+    offsets = task.value_offsets
     return frozenset(offsets[v] + d for v, d in enumerate(state))
 
 

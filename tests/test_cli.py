@@ -109,6 +109,41 @@ def test_gen_solve_reproducible(tmp_path):
     assert (a / "solve/result.json").read_bytes() == (b / "solve/result.json").read_bytes()
 
 
+def test_experiment_model_heuristics(tmp_path):
+    """experiment --heuristics model:PATH gives every instance the heuristic
+    of its own ground and lifted task: rows equal a direct search."""
+    from planlearn.bench import load_suite
+    from planlearn.graphs import llg_kind, slg_kind
+    from planlearn.nn import init_model, load_model, save_model
+    from planlearn.search import ModelHeuristic, gbfs
+    from planlearn.task import ground
+
+    suite = tmp_path / "suite"
+    assert run(["gen", "--domain", "gripper", "--train", "1:2", "--validate", "3",
+                "--test", "4", "--out-dir", str(suite)]) == 0
+    models = {"slg": tmp_path / "slg.json", "llg": tmp_path / "llg.json"}
+    save_model(init_model(slg_kind(), layer_count=2, hidden_dim=8, seed=3), models["slg"])
+    save_model(init_model(llg_kind(4), layer_count=2, hidden_dim=8, seed=3), models["llg"])
+    spec = ",".join(f"model:{path}" for path in models.values())
+    outs = [tmp_path / "exp1", tmp_path / "exp2"]
+    for out, jobs in zip(outs, ("1", "2")):
+        assert run(["experiment", "--suite", str(suite / "manifest.json"),
+                    "--split", "train", "--heuristics", spec, "--jobs", jobs,
+                    "--out-dir", str(out)]) == 0
+
+    expected = []
+    for inst in load_suite(suite / "manifest.json").split("train"):
+        strips, gmap = ground(inst.task)
+        for kind, path in models.items():
+            r = gbfs(strips, ModelHeuristic(load_model(path), strips,
+                                            lifted=inst.task, gmap=gmap))
+            assert r.status == "solved"
+            expected.append(f"{inst.name},model-{kind},solved,{r.plan_cost},"
+                            f"{r.expansions},{r.evaluations},{r.generated}")
+    assert (outs[0] / "results.csv").read_text().splitlines()[1:] == expected
+    assert (outs[0] / "results.csv").read_bytes() == (outs[1] / "results.csv").read_bytes()
+
+
 def test_theory_subcommand(tmp_path, capsys):
     code = run(["theory", "--models", "5", "--random-tasks", "20",
                 "--out-dir", str(tmp_path)])

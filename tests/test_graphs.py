@@ -148,13 +148,13 @@ def test_llg_feature_layout(gripper_lifted):
 
 
 def test_llg_state_change_keeps_schema_subgraph(gripper_lifted, gripper_ground):
-    from planlearn.task import apply, ground_state_atoms
+    from planlearn.task import ground_state_atoms
 
     strips, gmap = gripper_ground
     enc = IndexEncoder(4, seed=0)
     s0 = strips.init
     s1 = next(nxt for _, nxt in
-              [(a, apply(strips, s0, a)) for a in range(len(strips.actions))]
+              [(a, strips.apply(s0, a)) for a in range(len(strips.actions))]
               if nxt is not None)
     g0 = build_llg(gripper_lifted, ground_state_atoms(gmap, s0), enc)
     g1 = build_llg(gripper_lifted, ground_state_atoms(gmap, s1), enc)

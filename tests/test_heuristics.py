@@ -25,7 +25,7 @@ from planlearn.heuristics import (
     reachable_states,
     relaxation_table,
 )
-from planlearn.task import StripsTask, apply, ground, validate_plan
+from planlearn.task import StripsTask, ground, validate_plan
 
 
 def test_goal_satisfied_gives_zero(gripper_ground):
@@ -137,7 +137,7 @@ def test_h_star_consistency_small_fixture():
     for state in reachable_states(task):
         hs = h_star(task, state)
         for aid in range(len(task.actions)):
-            nxt = apply(task, state, aid)
+            nxt = task.apply(state, aid)
             if nxt is None:
                 continue
             hn = h_star(task, nxt)

@@ -75,10 +75,9 @@ def test_batch_identical_graphs(gripper_ground):
 
 def test_batch_permutation_equivariant(gripper_ground):
     task, _ = gripper_ground
-    from planlearn.task import apply
-    states = [task.init] + [apply(task, task.init, a)
+    states = [task.init] + [task.apply(task.init, a)
                             for a, in [(i,) for i in range(len(task.actions))]
-                            if apply(task, task.init, a) is not None]
+                            if task.apply(task.init, a) is not None]
     graphs = [build_slg(task, s) for s in states]
     m = init_model(slg_kind(), layer_count=4, hidden_dim=16, seed=1)
     base = forward_batch(m, graphs)
@@ -89,10 +88,9 @@ def test_batch_permutation_equivariant(gripper_ground):
 
 def test_batch_pointwise_matches_map(gripper_ground):
     task, _ = gripper_ground
-    from planlearn.task import apply
     states = {task.init}
     for a in range(len(task.actions)):
-        nxt = apply(task, task.init, a)
+        nxt = task.apply(task.init, a)
         if nxt is not None:
             states.add(nxt)
     graphs = [build_slg(task, s) for s in sorted(states, key=sorted)]

@@ -1,15 +1,12 @@
 import pytest
 
 from planlearn.bench import SuiteSpec, build_training_set, generate
-from planlearn.errors import EmptyCandidates, EmptyDataset
+from planlearn.errors import EmptyDataset
 from planlearn.nn import (
     LabeledGraphSample,
     LrSchedule,
     TrainConfig,
-    ValidationStats,
     forward,
-    init_model,
-    select_model,
     train,
 )
 
@@ -86,36 +83,3 @@ def test_empty_dataset_rejected(gripper_samples):
 def test_target_must_be_finite(gripper_samples):
     with pytest.raises(ValueError):
         LabeledGraphSample(gripper_samples[0].graph, float("inf"))
-
-
-def _stats(solved, expansions, loss):
-    return ValidationStats(solved, expansions, loss)
-
-
-def test_select_model_prefers_more_solved():
-    a = init_model(kind=_kind(), layer_count=1, hidden_dim=2, seed=1)
-    b = init_model(kind=_kind(), layer_count=1, hidden_dim=2, seed=2)
-    assert select_model([(a, _stats(5, 900, 0.5)), (b, _stats(3, 10, 0.1))]) is a
-
-
-def test_select_model_breaks_ties_on_expansions_then_loss():
-    a = init_model(kind=_kind(), layer_count=1, hidden_dim=2, seed=1)
-    b = init_model(kind=_kind(), layer_count=1, hidden_dim=2, seed=2)
-    assert select_model([(a, _stats(4, 100, 0.9)), (b, _stats(4, 200, 0.1))]) is a
-    assert select_model([(a, _stats(4, 100, 0.9)), (b, _stats(4, 100, 0.1))]) is b
-
-
-def test_select_model_all_equal_takes_first():
-    a = init_model(kind=_kind(), layer_count=1, hidden_dim=2, seed=1)
-    b = init_model(kind=_kind(), layer_count=1, hidden_dim=2, seed=2)
-    assert select_model([(a, _stats(1, 1, 1.0)), (b, _stats(1, 1, 1.0))]) is a
-
-
-def test_select_model_empty():
-    with pytest.raises(EmptyCandidates):
-        select_model([])
-
-
-def _kind():
-    from planlearn.graphs import slg_kind
-    return slg_kind()

@@ -1,18 +1,30 @@
-"""Tooling gate: the hff search benchmark workload runs one round and passes
-its own checks (valid plans, solved searches, counters equal to
-perfbench/pinned.json on seed 0)."""
+"""Tooling gate: benchmark workloads that run the search and oracle code run
+one round each and pass their own checks (valid plans, solved searches,
+blind and hff counters equal to perfbench/pinned.json on seed 0, every
+theory verdict passing)."""
 
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_search_oracle_hff_round_passes_its_checks():
+def _round_passes_its_checks(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "search-oracle-hff",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert '"correct": true' in done.stdout.splitlines()[-1]
+
+
+def test_search_oracle_hff_round_passes_its_checks():
+    _round_passes_its_checks("search-oracle-hff")
+
+
+@pytest.mark.parametrize("workload", ["search-oracle-blind", "theory"])
+def test_round_passes_its_checks(workload):
+    _round_passes_its_checks(workload)

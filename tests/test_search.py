@@ -20,7 +20,6 @@ from planlearn.task import (
     StripsTask,
     ground,
     initial_state,
-    is_goal,
     successors,
     validate_plan,
 )
@@ -68,7 +67,7 @@ def test_blind_expansions_match_reference_bfs(gripper_ground):
     expansions = 0
     while queue:
         state = queue.popleft()
-        if is_goal(task, state):
+        if task.is_goal(state):
             break
         expansions += 1
         for _, nxt in successors(task, state):
@@ -157,6 +156,27 @@ def test_model_heuristic_paths_solve(gripper_ground, gripper_lifted, gripper_fdr
                                encoder=IndexEncoder(4, seed=0))
     r = gbfs(strips, heuristic)
     assert r.status == "solved" and validate_plan(strips, r.plan).valid
+
+
+def test_model_heuristic_rewrite_equals_fresh_graph(gripper_ground, gripper_fdr):
+    """The per-state feature rewrite of the slg/flg template gives the same
+    estimate as building the graph for that state from scratch."""
+    from planlearn.graphs import build_flg, build_slg, flg_kind, slg_kind
+    from planlearn.heuristics import reachable_states
+    from planlearn.nn import forward, init_model
+    from planlearn.search import ModelHeuristic
+
+    strips, _ = gripper_ground
+    for task, kind, build in ((strips, slg_kind(), build_slg),
+                              (gripper_fdr, flg_kind(), build_flg)):
+        # seed 1 gives positive outputs on both tasks, so the clamp at zero
+        # cannot hide a wrong feature row
+        model = init_model(kind, layer_count=2, hidden_dim=8, seed=1)
+        heuristic = ModelHeuristic(model, task)
+        for s in reachable_states(task):
+            fresh = forward(model, build(task, s))
+            assert fresh > 0
+            assert heuristic.evaluate_batch([s]) == [max(0.0, fresh)]
 
 
 def test_format_plan(gripper_ground):

@@ -13,7 +13,6 @@ from planlearn.heuristics import h_star, reachable_states
 from planlearn.task import (
     StripsAction,
     StripsTask,
-    apply,
     binary_fdr_view,
     fdr_state_to_strips,
     strips_view,
@@ -28,15 +27,15 @@ def test_apply_strips_substitution():
     task = StripsTask(("p0", "p1"),
                       (StripsAction("a", frozenset({0}), frozenset({1}), frozenset({0})),),
                       frozenset({0}), frozenset({1}))
-    assert apply(task, frozenset({0}), 0) == frozenset({1})
-    assert apply(task, frozenset(), 0) is None  # inapplicable is a value
+    assert task.apply(frozenset({0}), 0) == frozenset({1})
+    assert task.apply(frozenset(), 0) is None  # inapplicable is a value
 
 
 def test_relaxation_gap_task_semantics():
     task = delete_relaxation_gap_task()
-    s1 = apply(task, task.init, 0)
+    s1 = task.apply(task.init, 0)
     assert s1 == frozenset({1})          # reaching p1 destroys p0
-    s2 = apply(task, s1, 1)
+    s2 = task.apply(s1, 1)
     assert s2 == frozenset({0, 1}) and task.goal <= s2
     check = validate_plan(task, [0, 1])
     assert check.valid and check.cost == 2
@@ -46,7 +45,7 @@ def test_relaxation_gap_task_semantics():
 def test_apply_fdr_overwrites_single_variable(gripper_fdr):
     move = next(i for i, a in enumerate(gripper_fdr.actions)
                 if a.name == "move rooma roomb")
-    nxt = apply(gripper_fdr, gripper_fdr.init, move)
+    nxt = gripper_fdr.apply(gripper_fdr.init, move)
     assert nxt == (1, 0, 0, 0)  # only the robot variable changes
 
 
