@@ -3,7 +3,6 @@
 from .exact import (
     DEFAULT_FACT_BUDGET,
     DEFAULT_STATE_CAP,
-    delete_relax,
     h_plus,
     h_star,
     optimal_plan,
@@ -15,7 +14,7 @@ from .values import INFINITY, HeuristicValue
 
 __all__ = [
     "DEFAULT_FACT_BUDGET", "DEFAULT_STATE_CAP", "HeuristicValue", "INFINITY",
-    "RelaxationTable", "delete_relax", "h_add", "h_dp", "h_ff", "h_max",
+    "RelaxationTable", "h_add", "h_dp", "h_ff", "h_max",
     "h_plus", "h_star", "label_dataset", "optimal_plan", "reachable_states",
     "relaxation_table",
 ]

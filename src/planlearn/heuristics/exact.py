@@ -2,6 +2,9 @@
 
 These are reference computations for labels, baselines and the
 expressiveness checks; exactness matters, speed only at fixture scale.
+Uniform-cost search and state enumeration run on the task's search states
+(packed ints for STRIPS); states passed in and returned are frozensets of
+proposition ids for STRIPS and value tuples for FDR.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ DEFAULT_FACT_BUDGET = 25
 
 
 def _dijkstra(task, start, state_cap: int, with_parents: bool):
+    costs = [a.cost for a in task.actions]
     dist = {start: 0}
     parents = {start: None} if with_parents else None
     counter = itertools.count()
@@ -30,7 +34,7 @@ def _dijkstra(task, start, state_cap: int, with_parents: bool):
         if task.is_goal(s):
             return d, s, parents
         for aid, nxt in successors(task, s):
-            nd = d + task.actions[aid].cost
+            nd = d + costs[aid]
             if nxt not in dist or nd < dist[nxt]:
                 dist[nxt] = nd
                 if with_parents:
@@ -44,28 +48,18 @@ def _dijkstra(task, start, state_cap: int, with_parents: bool):
 def h_star(task, state=None, state_cap: int = DEFAULT_STATE_CAP) -> HeuristicValue:
     """Optimal cost from the state (default: initial state), by uniform-cost
     search; INFINITY when the goal is unreachable."""
-    if state is None:
-        state = initial_state(task)
-    cost, _, _ = _dijkstra(task, state, state_cap, with_parents=False)
+    start = initial_state(task) if state is None else task.encode(state)
+    cost, _, _ = _dijkstra(task, start, state_cap, with_parents=False)
     return HeuristicValue(INFINITY if cost is None else cost)
 
 
 def optimal_plan(task, state=None, state_cap: int = DEFAULT_STATE_CAP):
     """An optimal plan from the state, or None when unsolvable."""
-    if state is None:
-        state = initial_state(task)
-    cost, goal_state, parents = _dijkstra(task, state, state_cap, with_parents=True)
+    start = initial_state(task) if state is None else task.encode(state)
+    cost, goal_state, parents = _dijkstra(task, start, state_cap, with_parents=True)
     if cost is None:
         return None
     return plan_from_parents(parents, goal_state)
-
-
-def delete_relax(task: StripsTask) -> StripsTask:
-    """The delete relaxation: same task with empty delete lists."""
-    actions = tuple(
-        type(a)(a.name, a.pre, a.add, frozenset(), a.cost) for a in task.actions)
-    return StripsTask(task.propositions, actions, task.init, task.goal,
-                      name=task.name + "+")
 
 
 def h_plus(task: StripsTask, state: frozenset[int] | None = None,
@@ -162,4 +156,4 @@ def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):
                     raise BudgetExceeded(f"state cap {state_cap} exceeded enumerating states")
                 order.append(nxt)
                 queue.append(nxt)
-    return order
+    return [task.decode(s) for s in order]

@@ -1,5 +1,6 @@
 """Training labels from optimal plans: a plan of length g contributes the
-states it visits with targets g, g-1, ..., 0."""
+states it visits with targets g, g-1, ..., 0, each state as a frozenset of
+proposition ids (STRIPS) or a value tuple (FDR)."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ def label_dataset(task, plan) -> list[tuple[object, int]]:
     state = initial_state(task)
     g = len(plan)
     for i, aid in enumerate(plan):
-        samples.append((state, g - i))
+        samples.append((task.decode(state), g - i))
         state = task.apply(state, aid)
-    samples.append((state, 0))
+    samples.append((task.decode(state), 0))
     return samples

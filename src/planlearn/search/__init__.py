@@ -2,10 +2,10 @@
 
 from .experiment import ExperimentRow, ExperimentTable, run_experiment
 from .gbfs import SearchConfig, SearchResult, blind, format_plan, gbfs
-from .heuristics import ConstantHeuristic, FunctionHeuristic, ModelHeuristic, OracleHeuristic
+from .heuristics import ConstantHeuristic, ModelHeuristic, OracleHeuristic
 
 __all__ = [
-    "ConstantHeuristic", "ExperimentRow", "ExperimentTable", "FunctionHeuristic",
-    "ModelHeuristic", "OracleHeuristic", "SearchConfig", "SearchResult", "blind",
-    "format_plan", "gbfs", "run_experiment",
+    "ConstantHeuristic", "ExperimentRow", "ExperimentTable", "ModelHeuristic",
+    "OracleHeuristic", "SearchConfig", "SearchResult", "blind", "format_plan", "gbfs",
+    "run_experiment",
 ]

@@ -4,7 +4,9 @@ Open list is a binary heap keyed (h, insertion sequence): ties resolve
 first-in-first-out, so with a zero heuristic the search degenerates to
 breadth-first and returns optimal plans under unit costs. Duplicate states
 are detected against everything already evaluated; re-opening is disabled.
-Every returned plan is validated before the result is handed back.
+States are the task's search states (packed ints for STRIPS), and so are the
+states handed to the heuristic. Every returned plan is validated before the
+result is handed back.
 
 The deadline is checked only between expansions, so a search can overrun
 timeout_s by one expansion: successor generation for one node plus the

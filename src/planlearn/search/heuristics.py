@@ -1,7 +1,10 @@
 """Heuristic adapters for search: oracles, constants and trained models.
 
 A search heuristic exposes evaluate_batch(states) -> list of floats, with
-float('inf') marking states to prune. Model-backed heuristics clamp outputs
+float('inf') marking states to prune. The states are the task's search
+states (packed ints for STRIPS, value tuples for FDR); the oracle and model
+adapters decode them with `task.decode` before reading them, and the
+constant heuristic never looks at them. Model-backed heuristics clamp outputs
 at zero (estimates are cost-to-go) and raise NonFiniteEstimate on NaN or
 infinite outputs, which would otherwise prune a state or break the heap
 order; training never clamps.
@@ -29,14 +32,6 @@ class ConstantHeuristic:
         return [self.value] * len(states)
 
 
-class FunctionHeuristic:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def evaluate_batch(self, states):
-        return [float(self.fn(s)) for s in states]
-
-
 ORACLES = {
     "hmax": lambda task, s: h_dp(task, s, "max"),
     "hadd": lambda task, s: h_dp(task, s, "add"),
@@ -56,8 +51,8 @@ class OracleHeuristic:
         self.which = which
 
     def evaluate_batch(self, states):
-        fn = ORACLES[self.which]
-        return [float(fn(self.task, s)) for s in states]
+        fn, task = ORACLES[self.which], self.task
+        return [float(fn(task, task.decode(s))) for s in states]
 
 
 class ModelHeuristic:
@@ -115,7 +110,8 @@ class ModelHeuristic:
     def evaluate_batch(self, states):
         if not states:
             return []
-        graphs = [self._graph_for(s) for s in states]
+        decode = self.task.decode
+        graphs = [self._graph_for(decode(s)) for s in states]
         out = forward_batch(self.model, graphs)
         if not np.isfinite(out).all():
             raise NonFiniteEstimate(f"{self.model.kind.name} model gave a non-finite estimate")

@@ -114,11 +114,13 @@ def ground(task: LiftedTask, cap: int = DEFAULT_INSTANTIATION_CAP,
                             schema.name, combo)
                 continue
             name = f"({schema.name} {' '.join(combo)})" if combo else f"({schema.name})"
+            # Atoms first seen here get ids in str order, not set order, which
+            # would make the ids depend on the hash seed.
             actions.append(StripsAction(
                 name,
-                frozenset(intern(a) for a in pre - static_pre),
-                frozenset(intern(a) for a in add),
-                frozenset(intern(a) for a in dele),
+                frozenset(intern(a) for a in sorted(pre - static_pre, key=str)),
+                frozenset(intern(a) for a in sorted(add, key=str)),
+                frozenset(intern(a) for a in sorted(dele, key=str)),
                 schema.cost))
             bindings.append((schema.name, combo))
 

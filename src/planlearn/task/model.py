@@ -1,18 +1,27 @@
 """Task formalisms: lifted, propositional (STRIPS) and finite-domain (FDR).
 
-States are plain values: a frozenset of proposition ids for STRIPS, a tuple
-of value indexes (one per variable) for FDR, a frozenset of ground atoms for
-lifted tasks. Each ground task class carries its own successor semantics:
-`apply(state, aid)` returns the successor, or None when the action is
-inapplicable, and `is_goal(state)` tests the goal. `successors` is the single
-successor generator; it returns (action id, successor) pairs in action order,
-which gbfs's first-in-first-out tie-break (and with it breadth-first
-optimality of blind search) relies on.
+A STRIPS search state is one Python int with bit p set for proposition p;
+an FDR search state is a tuple of value indexes, one per variable. Each
+ground task class converts between its search states and the plain state
+values of the rest of the package: `encode` turns a STRIPS frozenset of
+proposition ids into its packed int and `decode` turns it back (both are
+the identity on FDR tuples). STRIPS task fields (`init`, `goal`, action
+sets) stay frozensets, and so do the states taken by heuristics, graph
+builders and the CLI; lifted states are frozensets of ground atoms.
+
+Each ground task class carries its own successor semantics on search
+states: `apply(state, aid)` returns the successor, or None when the action
+is inapplicable, `is_goal(state)` tests the goal and `successors(state)`
+returns (action id, successor) pairs in action order, which gbfs's
+first-in-first-out tie-break (and with it breadth-first optimality of blind
+search) relies on. A STRIPS action applies when `state & pre == pre` and
+leads to `(state & keep) | add`, with keep the complement of its delete
+mask; the masks are compiled once per task.
 
 All task objects are immutable after construction and safe to share across
-threads; derived tables (a StripsTask's relaxation incidence, an FdrTask's
-value offsets) are computed on first use and kept, derived only from the
-immutable fields.
+threads; derived tables (a StripsTask's relaxation incidence and packed
+masks, an FdrTask's value offsets) are computed on first use and kept,
+derived only from the immutable fields.
 """
 
 from __future__ import annotations
@@ -144,21 +153,71 @@ class StripsTask:
                 if not all(0 <= p < n for p in s):
                     raise ValueError(f"action {a.name} mentions unknown proposition id")
 
-    def apply(self, state: frozenset[int], action_id: int) -> frozenset[int] | None:
-        """Successor state, or None when the action is inapplicable."""
-        a = self.actions[action_id]
-        if not a.pre <= state:
-            return None
-        return (state - a.dele) | a.add
+    def encode(self, state: frozenset[int]) -> int:
+        """The packed search state of a set of proposition ids."""
+        bits = 0
+        for p in state:
+            bits |= 1 << p
+        return bits
 
-    def is_goal(self, state: frozenset[int]) -> bool:
-        return self.goal <= state
+    def decode(self, state: int) -> frozenset[int]:
+        """The proposition ids set in a packed search state."""
+        props = []
+        while state:
+            low = state & -state
+            props.append(low.bit_length() - 1)
+            state ^= low
+        return frozenset(props)
+
+    def apply(self, state: int, action_id: int) -> int | None:
+        """Successor state, or None when the action is inapplicable."""
+        _, pre, keep, add = self.masks.actions[action_id]
+        if state & pre != pre:
+            return None
+        return (state & keep) | add
+
+    def is_goal(self, state: int) -> bool:
+        goal = self.masks.goal
+        return state & goal == goal
+
+    def successors(self, state: int) -> list[tuple[int, int]]:
+        """All (action_id, successor) pairs applicable in state, in action order."""
+        return [(aid, (state & keep) | add)
+                for aid, pre, keep, add in self.masks.actions if state & pre == pre]
+
+    @cached_property
+    def masks(self) -> PackedMasks:
+        """Action and goal bit masks, built on first use and kept for the
+        task's lifetime (outside eq and hash)."""
+        return PackedMasks.of(self)
 
     @cached_property
     def incidence(self) -> RelaxedIncidence:
         """Precondition and achiever incidence, built on first use and kept
         for the task's lifetime (outside eq and hash)."""
         return RelaxedIncidence.of(self)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedMasks:
+    """Bit masks of a STRIPS task over packed states.
+
+    `actions[aid]` is `(aid, pre, keep, add)`: the precondition mask, the
+    complement of the delete mask within the task's propositions (kept
+    non-negative, which makes `&` cheaper than with `~dele`) and the add
+    mask. `goal` is the goal mask.
+    """
+
+    actions: tuple[tuple[int, int, int, int], ...]
+    goal: int
+
+    @classmethod
+    def of(cls, task: StripsTask) -> PackedMasks:
+        encode = task.encode
+        every = (1 << len(task.propositions)) - 1
+        actions = tuple((aid, encode(a.pre), every ^ encode(a.dele), encode(a.add))
+                        for aid, a in enumerate(task.actions))
+        return cls(actions, encode(task.goal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +320,19 @@ class FdrTask:
     def is_goal(self, state: tuple[int, ...]) -> bool:
         return all(state[v] == d for v, d in self.goal)
 
+    def successors(self, state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+        """All (action_id, successor) pairs applicable in state, in action order."""
+        apply = self.apply
+        return [(aid, nxt) for aid in range(len(self.actions))
+                if (nxt := apply(state, aid)) is not None]
+
+    def encode(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        """FDR search states are the tuples themselves."""
+        return state
+
+    def decode(self, state: tuple[int, ...]) -> tuple[int, ...]:
+        return state
+
     @cached_property
     def value_offsets(self) -> tuple[int, ...]:
         """Index of each variable's first value when all values are numbered
@@ -276,22 +348,16 @@ class FdrTask:
 # ── state semantics ───────────────────────────────────────────────────────
 
 def initial_state(task):
-    if isinstance(task, StripsTask):
-        return task.init
-    if isinstance(task, FdrTask):
-        return task.init
+    """The task's initial search state."""
+    if isinstance(task, (StripsTask, FdrTask)):
+        return task.encode(task.init)
     raise TypeError(f"no state semantics for {type(task).__name__}")
 
 
 def successors(task, state):
-    """All (action_id, successor) pairs applicable in state, in action order."""
-    apply = task.apply
-    out = []
-    for i in range(len(task.actions)):
-        nxt = apply(state, i)
-        if nxt is not None:
-            out.append((i, nxt))
-    return out
+    """All (action_id, successor) pairs applicable in a search state, in
+    action order."""
+    return task.successors(state)
 
 
 @dataclass(frozen=True)

@@ -189,3 +189,38 @@ def test_experiment_subcommand(tmp_path):
                 "--split", "train", "--heuristics", "blind,hff",
                 "--jobs", "2", "--out-dir", str(out2)]) == 0
     assert (out / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+
+
+def test_visitall_outputs_do_not_depend_on_hash_seed(tmp_path):
+    """Primary outputs are the same in processes with different string hash
+    seeds (PEP 456); visitall actions mention several atoms that the initial
+    state lacks, so grounding must not intern them in set order."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("1", "2"):
+        root = tmp_path / f"hash{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        problem = str(root / "suite" / "test" / "p00.pddl")
+        domain = str(root / "suite" / "domain.pddl")
+        for argv in (["gen", "--domain", "visitall", "--train", "2:3", "--test", "4",
+                      "--out-dir", str(root / "suite")],
+                     ["ground", "--domain", domain, "--problem", problem,
+                      "--out-dir", str(root / "ground")],
+                     ["graph", "--domain", domain, "--problem", problem, "--kind", "slg",
+                      "--out-dir", str(root / "graph")],
+                     ["solve", "--domain", domain, "--problem", problem,
+                      "--heuristic", "hff", "--out-dir", str(root / "solve")]):
+            done = subprocess.run([sys.executable, "-m", "planlearn.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+        outputs.append({rel: (root / rel).read_bytes() for rel in (
+            "suite/manifest.json", "suite/test/p00.pddl", "ground/task.strips",
+            "graph/graph.json", "graph/graph.dot", "solve/plan.txt", "solve/result.json")})
+    first, second = outputs
+    for rel in first:
+        assert first[rel] == second[rel], f"{rel} depends on the hash seed"

@@ -153,9 +153,8 @@ def test_llg_state_change_keeps_schema_subgraph(gripper_lifted, gripper_ground):
     strips, gmap = gripper_ground
     enc = IndexEncoder(4, seed=0)
     s0 = strips.init
-    s1 = next(nxt for _, nxt in
-              [(a, strips.apply(s0, a)) for a in range(len(strips.actions))]
-              if nxt is not None)
+    s1 = strips.decode(next(nxt for a in range(len(strips.actions))
+                            if (nxt := strips.apply(strips.encode(s0), a)) is not None))
     g0 = build_llg(gripper_lifted, ground_state_atoms(gmap, s0), enc)
     g1 = build_llg(gripper_lifted, ground_state_atoms(gmap, s1), enc)
 

@@ -13,7 +13,6 @@ from planlearn.expressiveness import (
 )
 from planlearn.heuristics import (
     INFINITY,
-    delete_relax,
     h_add,
     h_dp,
     h_ff,
@@ -26,6 +25,8 @@ from planlearn.heuristics import (
     relaxation_table,
 )
 from planlearn.task import StripsTask, ground, validate_plan
+
+from helpers import delete_relax
 
 
 def test_goal_satisfied_gives_zero(gripper_ground):
@@ -137,10 +138,10 @@ def test_h_star_consistency_small_fixture():
     for state in reachable_states(task):
         hs = h_star(task, state)
         for aid in range(len(task.actions)):
-            nxt = task.apply(state, aid)
+            nxt = task.apply(task.encode(state), aid)
             if nxt is None:
                 continue
-            hn = h_star(task, nxt)
+            hn = h_star(task, task.decode(nxt))
             if not hn.infinite:
                 assert float(hs) <= task.actions[aid].cost + float(hn)
 

@@ -75,9 +75,10 @@ def test_batch_identical_graphs(gripper_ground):
 
 def test_batch_permutation_equivariant(gripper_ground):
     task, _ = gripper_ground
-    states = [task.init] + [task.apply(task.init, a)
+    s0 = task.encode(task.init)
+    states = [task.init] + [task.decode(task.apply(s0, a))
                             for a, in [(i,) for i in range(len(task.actions))]
-                            if task.apply(task.init, a) is not None]
+                            if task.apply(s0, a) is not None]
     graphs = [build_slg(task, s) for s in states]
     m = init_model(slg_kind(), layer_count=4, hidden_dim=16, seed=1)
     base = forward_batch(m, graphs)
@@ -90,9 +91,9 @@ def test_batch_pointwise_matches_map(gripper_ground):
     task, _ = gripper_ground
     states = {task.init}
     for a in range(len(task.actions)):
-        nxt = task.apply(task.init, a)
+        nxt = task.apply(task.encode(task.init), a)
         if nxt is not None:
-            states.add(nxt)
+            states.add(task.decode(nxt))
     graphs = [build_slg(task, s) for s in sorted(states, key=sorted)]
     for agg in ("mean", "max", "sum"):
         m = init_model(slg_kind(), layer_count=4, hidden_dim=16, aggregator=agg, seed=7)

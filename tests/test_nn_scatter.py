@@ -96,19 +96,25 @@ def tie_graph():
     return LearningGraph(slg_kind(), features, [(0, 1, "pre"), (0, 2, "pre"), (0, 3, "pre")])
 
 
+def first_states(task):
+    """The initial state and its successors, as the builders take them."""
+    s0 = task.encode(task.init)
+    return [task.init] + [task.decode(nxt) for _, nxt in successors(task, s0)]
+
+
 def slg_batch(task):
-    states = [task.init] + [nxt for _, nxt in successors(task, task.init)]
+    states = first_states(task)
     return [build_slg(task, s) for s in states[:4]] + [tie_graph()]
 
 
 def flg_batch(task):
-    states = [task.init] + [nxt for _, nxt in successors(task, task.init)]
+    states = first_states(task)
     return [build_flg(task, s) for s in states[:4]]
 
 
 def llg_batch(lifted, task, gmap):
     encoder = IndexEncoder(4, seed=0)
-    states = [task.init] + [nxt for _, nxt in successors(task, task.init)]
+    states = first_states(task)
     return [build_llg(lifted, ground_state_atoms(gmap, s), encoder) for s in states[:3]]
 
 

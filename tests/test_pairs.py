@@ -10,8 +10,10 @@ from planlearn.expressiveness import (
     scaling_twin_pair,
 )
 from planlearn.graphs import build_slg
-from planlearn.heuristics import delete_relax, h_star
+from planlearn.heuristics import h_star
 from planlearn.task import Atom, ground
+
+from helpers import delete_relax
 
 
 def test_lifted_pair_structure():

@@ -1,7 +1,7 @@
-"""Tooling gate: benchmark workloads that run the search and oracle code run
-one round each and pass their own checks (valid plans, solved searches,
-blind and hff counters equal to perfbench/pinned.json on seed 0, every
-theory verdict passing)."""
+"""Tooling gate: benchmark workloads that run the search, oracle and
+model-heuristic code run one round each and pass their own checks (valid
+plans, solved searches, blind and hff counters equal to perfbench/pinned.json
+on seed 0, every theory verdict passing)."""
 
 import subprocess
 import sys
@@ -25,6 +25,7 @@ def test_search_oracle_hff_round_passes_its_checks():
     _round_passes_its_checks("search-oracle-hff")
 
 
-@pytest.mark.parametrize("workload", ["search-oracle-blind", "theory"])
+@pytest.mark.parametrize("workload", ["search-oracle-blind", "theory", "search-model-slg",
+                                      "search-model-llg"])
 def test_round_passes_its_checks(workload):
     _round_passes_its_checks(workload)

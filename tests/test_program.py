@@ -9,8 +9,10 @@ from planlearn.expressiveness import (
     relaxation_program,
 )
 from planlearn.graphs import build_slg
-from planlearn.heuristics import delete_relax, h_dp
+from planlearn.heuristics import h_dp
 from planlearn.task import StripsAction, StripsTask
+
+from helpers import delete_relax
 
 
 def test_goal_in_state_gives_zero():

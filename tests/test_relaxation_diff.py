@@ -205,15 +205,16 @@ def test_incidence_is_bound_to_the_task():
 
 
 def bounded_bfs(task, limit):
-    seen = {task.init}
-    order, queue = [task.init], deque([task.init])
+    start = task.encode(task.init)
+    seen = {start}
+    order, queue = [start], deque([start])
     while queue and len(order) < limit:
         for _, nxt in successors(task, queue.popleft()):
             if nxt not in seen and len(order) < limit:
                 seen.add(nxt)
                 order.append(nxt)
                 queue.append(nxt)
-    return order
+    return [task.decode(s) for s in order]
 
 
 def test_benchmark_search_instances_match_reference():

@@ -7,7 +7,6 @@ from planlearn.errors import InvalidPlan, NonFiniteEstimate
 from planlearn.expressiveness import grounded_twin_pair, lifted_twin_pair
 from planlearn.search import (
     ConstantHeuristic,
-    FunctionHeuristic,
     OracleHeuristic,
     SearchConfig,
     blind,
@@ -23,6 +22,18 @@ from planlearn.task import (
     successors,
     validate_plan,
 )
+
+
+class FunctionHeuristic:
+    """A heuristic from a function of the plain state (a frozenset of
+    proposition ids), decoded from the task's search state."""
+
+    def __init__(self, task, fn):
+        self.task = task
+        self.fn = fn
+
+    def evaluate_batch(self, states):
+        return [float(self.fn(self.task.decode(s))) for s in states]
 
 
 def test_goal_in_initial_state():
@@ -103,7 +114,7 @@ def test_infinite_heuristic_prunes():
     def h(state):
         return float("inf") if 1 in state else 0.0
 
-    r = gbfs(task, FunctionHeuristic(h))
+    r = gbfs(task, FunctionHeuristic(task, h))
     assert r.status == "solved"
     assert 2 not in r.plan  # states reached via mk-b were pruned as dead ends
 
@@ -176,7 +187,7 @@ def test_model_heuristic_rewrite_equals_fresh_graph(gripper_ground, gripper_fdr)
         for s in reachable_states(task):
             fresh = forward(model, build(task, s))
             assert fresh > 0
-            assert heuristic.evaluate_batch([s]) == [max(0.0, fresh)]
+            assert heuristic.evaluate_batch([task.encode(s)]) == [max(0.0, fresh)]
 
 
 def test_format_plan(gripper_ground):
@@ -217,7 +228,7 @@ def test_model_heuristic_rejects_non_finite_output(gripper_ground, bad):
     model = init_model(slg_kind(), layer_count=2, hidden_dim=8, seed=0)
     model.params["head.b2"][0] = bad
     with pytest.raises(NonFiniteEstimate):
-        ModelHeuristic(model, task).evaluate_batch([task.init])
+        ModelHeuristic(model, task).evaluate_batch([initial_state(task)])
     with pytest.raises(NonFiniteEstimate):
         gbfs(task, ModelHeuristic(model, task))
 

@@ -15,6 +15,7 @@ from planlearn.task import (
     StripsTask,
     binary_fdr_view,
     fdr_state_to_strips,
+    initial_state,
     strips_view,
     successors,
     validate_plan,
@@ -27,16 +28,16 @@ def test_apply_strips_substitution():
     task = StripsTask(("p0", "p1"),
                       (StripsAction("a", frozenset({0}), frozenset({1}), frozenset({0})),),
                       frozenset({0}), frozenset({1}))
-    assert task.apply(frozenset({0}), 0) == frozenset({1})
-    assert task.apply(frozenset(), 0) is None  # inapplicable is a value
+    assert task.decode(task.apply(task.encode(frozenset({0})), 0)) == frozenset({1})
+    assert task.apply(task.encode(frozenset()), 0) is None  # inapplicable is a value
 
 
 def test_relaxation_gap_task_semantics():
     task = delete_relaxation_gap_task()
-    s1 = task.apply(task.init, 0)
-    assert s1 == frozenset({1})          # reaching p1 destroys p0
+    s1 = task.apply(initial_state(task), 0)
+    assert task.decode(s1) == frozenset({1})          # reaching p1 destroys p0
     s2 = task.apply(s1, 1)
-    assert s2 == frozenset({0, 1}) and task.goal <= s2
+    assert task.decode(s2) == frozenset({0, 1}) and task.goal <= task.decode(s2)
     check = validate_plan(task, [0, 1])
     assert check.valid and check.cost == 2
     assert h_star(task).value == 2
@@ -105,7 +106,8 @@ def test_strips_view_state_space_isomorphic(gripper_fdr):
     # successor relation matches under the mapping
     for s in fdr_states:
         succ_fdr = {fdr_state_to_strips(gripper_fdr, t) for _, t in successors(gripper_fdr, s)}
-        succ_view = {t for _, t in successors(view, fdr_state_to_strips(gripper_fdr, s))}
+        packed = view.encode(fdr_state_to_strips(gripper_fdr, s))
+        succ_view = {view.decode(t) for _, t in successors(view, packed)}
         assert succ_fdr == succ_view
 
 
@@ -154,7 +156,8 @@ def test_ground_then_apply_commutes_with_lifted_semantics(gripper_lifted, grippe
 def test_random_task_successor_invariants(seed):
     task = random_unit_task(np.random.default_rng(seed))
     all_props = frozenset(range(len(task.propositions)))
-    for aid, nxt in successors(task, task.init):
+    for aid, packed in successors(task, initial_state(task)):
+        nxt = task.decode(packed)
         a = task.actions[aid]
         assert a.pre <= task.init
         assert nxt <= all_props
