@@ -9,13 +9,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BudgetExceeded, InvalidSize
-from ..graphs.builders import build_flg, build_llg, build_slg
+from ..graphs.builders import state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import optimal_plan
 from ..heuristics.labels import label_dataset
 from ..nn.train import LabeledGraphSample
 from ..seeding import derive_seed
-from ..task.ground import ground, ground_state_atoms
+from ..task.ground import ground
 from ..task.model import LiftedTask, binary_fdr_view
 from ..task.pddl import parse_pddl
 from .domains import DOMAIN_TEXT, GENERATORS
@@ -136,12 +136,16 @@ def build_training_set(instances: list[Instance], graph_kind: str,
                        encoder_seed: int = 0, index_dim: int = 4,
                        state_cap: int = 200_000) -> list[LabeledGraphSample]:
     """Solve each instance optimally, label the visited states, and encode
-    them as graphs of the requested kind. Instances whose optimal search
-    exceeds the state budget are skipped with a warning."""
+    them as graphs of the requested kind with the builder `state_graphs`
+    binds once per instance (finite-domain graphs read the binary view of
+    the ground task). Instances whose optimal search exceeds the state
+    budget are skipped with a warning."""
     encoder = IndexEncoder(index_dim, seed=encoder_seed)
     samples: list[LabeledGraphSample] = []
     for inst in instances:
         strips, gmap = ground(inst.task)
+        task = binary_fdr_view(strips) if graph_kind == "flg" else strips
+        graph_of = state_graphs(graph_kind, task, inst.task, gmap, encoder)
         try:
             plan = optimal_plan(strips, state_cap=state_cap)
         except BudgetExceeded:
@@ -151,17 +155,6 @@ def build_training_set(instances: list[Instance], graph_kind: str,
         if plan is None:
             log.warning("skipping %s: unsolvable", inst.name)
             continue
-        fdr = binary_fdr_view(strips) if graph_kind == "flg" else None
-        for state, target in label_dataset(strips, plan):
-            if graph_kind == "slg":
-                graph = build_slg(strips, state)
-            elif graph_kind == "flg":
-                fdr_state = tuple(1 if p in state else 0
-                                  for p in range(len(strips.propositions)))
-                graph = build_flg(fdr, fdr_state)
-            elif graph_kind == "llg":
-                graph = build_llg(inst.task, ground_state_atoms(gmap, state), encoder)
-            else:
-                raise ValueError(f"unknown graph kind {graph_kind!r}")
-            samples.append(LabeledGraphSample(graph, float(target)))
+        for state, target in label_dataset(task, plan):
+            samples.append(LabeledGraphSample(graph_of(state), float(target)))
     return samples

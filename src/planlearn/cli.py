@@ -20,7 +20,7 @@ from . import __version__
 from .bench import SuiteSpec, build_training_set, default_suite, generate, load_suite, write_suite
 from .errors import PlanlearnError
 from .expressiveness import run_theory_checks
-from .graphs import IndexEncoder, build_flg, build_llg, build_slg, graph_to_dot, graph_to_json
+from .graphs import IndexEncoder, graph_to_dot, graph_to_json, state_graphs
 from .nn import TrainConfig, load_model, save_model, train
 from .search import (
     ConstantHeuristic,
@@ -33,8 +33,7 @@ from .search import (
     run_experiment,
 )
 from .search.heuristics import ORACLES
-from .task import dump_strips, ground, parse_pddl, parse_sas, strips_view
-from .task.ground import ground_state_atoms
+from .task import binary_fdr_view, dump_strips, ground, parse_pddl, parse_sas, strips_view
 
 
 class UsageError(Exception):
@@ -89,20 +88,21 @@ def cmd_ground(args) -> int:
     return 0
 
 
+def _encoded_task(kind: str, strips, fdr):
+    """The task an encoding reads: finite-domain graphs read the SAS task, or
+    the binary view of a PDDL one; the others read the propositional task."""
+    if kind != "flg":
+        return strips
+    return fdr if fdr is not None else binary_fdr_view(strips)
+
+
 def cmd_graph(args) -> int:
     strips, gmap, lifted, fdr = _load_tasks(args)
-    if args.kind == "slg":
-        graph = build_slg(strips, strips.init)
-    elif args.kind == "flg":
-        if fdr is None:
-            from .task import binary_fdr_view
-            fdr = binary_fdr_view(strips)
-        graph = build_flg(fdr, fdr.init)
-    else:
-        if lifted is None:
-            raise UsageError("the lifted encoding needs --domain/--problem input")
-        encoder = IndexEncoder(args.index_dim, seed=args.seed)
-        graph = build_llg(lifted, ground_state_atoms(gmap, strips.init), encoder)
+    if args.kind == "llg" and lifted is None:
+        raise UsageError("the lifted encoding needs --domain/--problem input")
+    encoder = IndexEncoder(args.index_dim, seed=args.seed) if args.kind == "llg" else None
+    task = _encoded_task(args.kind, strips, fdr)
+    graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
     out = _out_dir(args)
     _write_run_json(args, out)
     (out / "graph.json").write_text(graph_to_json(graph) + "\n")
@@ -161,16 +161,10 @@ def _search_setup(args, strips, gmap, lifted, fdr):
     if not args.model:
         raise UsageError("--heuristic model needs --model FILE")
     model = load_model(args.model)
-    if model.kind.name == "flg":
-        if fdr is None:
-            from .task import binary_fdr_view
-            fdr = binary_fdr_view(strips)
-        return fdr, ModelHeuristic(model, fdr)
     if model.kind.name == "llg" and lifted is None:
         raise UsageError("lifted-encoding models need --domain/--problem input")
-    # slg models ignore lifted and gmap; llg index embeddings derive from the
-    # model's seed, as in training
-    return strips, ModelHeuristic(model, strips, lifted=lifted, gmap=gmap)
+    task = _encoded_task(model.kind.name, strips, fdr)
+    return task, ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
 
 
 def cmd_solve(args) -> int:

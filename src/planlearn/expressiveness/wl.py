@@ -43,7 +43,8 @@ def _hash_round(own: int, neighbors: list[int]) -> int:
 def _transformed(graph: LearningGraph):
     """Node colors and adjacency of the edge-to-node transformed graph."""
     n = graph.num_nodes
-    colors = [_hash_key(("node", graph.color_keys[i])) for i in range(n)]
+    keys = graph.color_keys or [tuple(row) for row in graph.features.tolist()]
+    colors = [_hash_key(("node", key)) for key in keys]
     adjacency: list[list[int]] = [[] for _ in range(n + graph.num_edges)]
     for j, (u, v, lab) in enumerate(graph.edges):
         aux = n + j

@@ -1,6 +1,6 @@
 """Graph encodings of planning tasks."""
 
-from .builders import build_flg, build_llg, build_slg
+from .builders import build_flg, build_llg, build_slg, state_graphs
 from .core import GraphKind, LearningGraph, flg_kind, llg_kind, slg_kind
 from .encoder import IndexEncoder
 from .io import graph_from_json, graph_to_dot, graph_to_json
@@ -8,5 +8,5 @@ from .io import graph_from_json, graph_to_dot, graph_to_json
 __all__ = [
     "GraphKind", "IndexEncoder", "LearningGraph", "build_flg", "build_llg",
     "build_slg", "flg_kind", "graph_from_json", "graph_to_dot", "graph_to_json",
-    "llg_kind", "slg_kind",
+    "llg_kind", "slg_kind", "state_graphs",
 ]

@@ -1,79 +1,136 @@
 """Builders for the three learning-graph encodings.
 
-All builders are pure functions of (task, state, encoder); the state
-argument plays the role of the initial state in the node features, so a
-search can re-encode every visited state as a fresh subtask.
+Each encoding has one builder that binds a task once and returns a function
+from a state to its graph; `state_graphs` picks the builder for a kind and
+is the one path by which training, model search and `planlearn graph` turn
+states into graphs. The state plays the role of the initial state in the
+node features, so a search can re-encode every visited state as a fresh
+subtask. The propositional and finite-domain structures do not depend on
+the state: their builders build one template per task and give each state
+a copy of its feature matrix with the state column set. The lifted builder
+rebuilds the instance subgraph for every state.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
+from ..task.ground import GroundingMap, ground_state_atoms
 from ..task.model import Atom, FdrTask, LiftedTask, StripsTask
 from .core import GraphKind, LearningGraph, flg_kind, llg_kind, slg_kind
 from .encoder import IndexEncoder
 
 
-def build_slg(task: StripsTask, state: frozenset[int]) -> LearningGraph:
+def slg_graphs(task: StripsTask) -> Callable[[frozenset[int]], LearningGraph]:
     """Propositional encoding: one node per action and proposition, one
-    labeled edge per precondition/add/delete membership."""
-    if not state <= frozenset(range(len(task.propositions))):
-        raise ValueError("state mentions propositions outside the task")
+    labeled edge per precondition/add/delete membership. Proposition rows
+    carry (is proposition, in state, in goal)."""
     n_a = len(task.actions)
-    n_p = len(task.propositions)
-    features = np.zeros((n_a + n_p, 3), dtype=np.float64)
+    props = frozenset(range(len(task.propositions)))
+    features = np.zeros((n_a + len(props), 3), dtype=np.float64)
+    features[n_a:, 0] = 1.0
+    for p in task.goal:
+        features[n_a + p, 2] = 1.0
     names = [a.name for a in task.actions] + list(task.propositions)
-    for p in range(n_p):
-        features[n_a + p, 0] = 1.0
-        if p in state:
-            features[n_a + p, 1] = 1.0
-        if p in task.goal:
-            features[n_a + p, 2] = 1.0
     edges = []
     for i, a in enumerate(task.actions):
-        for label, props in (("pre", a.pre), ("add", a.add), ("del", a.dele)):
-            for p in sorted(props):
+        for label, ids in (("pre", a.pre), ("add", a.add), ("del", a.dele)):
+            for p in sorted(ids):
                 edges.append((i, n_a + p, label))
-    return LearningGraph(slg_kind(), features, edges, tuple(names))
+    template = LearningGraph(slg_kind(), features, edges, tuple(names))
+
+    def graph(state: frozenset[int]) -> LearningGraph:
+        if not state <= props:
+            raise ValueError("state mentions propositions outside the task")
+        rows = template.features.copy()
+        for p in state:
+            rows[n_a + p, 1] = 1.0
+        return template.with_features(rows)
+
+    return graph
+
+
+def flg_graphs(task: FdrTask) -> Callable[[tuple[int, ...]], LearningGraph]:
+    """Finite-domain encoding: variable, value and action nodes; values link
+    to their variable and to the actions that require or set them. Rows
+    carry (is variable, is action, is value, in state, in goal)."""
+    n_v = len(task.variables)
+    offsets = task.value_offsets
+    sizes = [len(var.values) for var in task.variables]
+    action_base = n_v + sum(sizes)
+    names = [v.name for v in task.variables]
+    names.extend(f"{var.name}={val}" for var in task.variables for val in var.values)
+    names.extend(a.name for a in task.actions)
+
+    def value_node(v: int, d: int) -> int:
+        return n_v + offsets[v] + d
+
+    features = np.zeros((len(names), 5), dtype=np.float64)
+    features[:n_v, 0] = 1.0
+    features[action_base:, 1] = 1.0
+    features[n_v:action_base, 2] = 1.0
+    for v, d in task.goal:
+        features[value_node(v, d), 4] = 1.0
+    edges = []
+    for v, size in enumerate(sizes):
+        for d in range(size):
+            edges.append((v, value_node(v, d), "varval"))
+    for i, a in enumerate(task.actions):
+        for label, facts in (("pre", a.pre), ("eff", a.eff)):
+            for v, d in facts:
+                edges.append((value_node(v, d), action_base + i, label))
+    template = LearningGraph(flg_kind(), features, edges, tuple(names))
+
+    def graph(state: tuple[int, ...]) -> LearningGraph:
+        if len(state) != n_v:
+            raise ValueError("state must assign every variable")
+        rows = template.features.copy()
+        for v, d in enumerate(state):
+            if not 0 <= d < sizes[v]:
+                raise ValueError(f"state value {d} outside the domain of variable {v}")
+            rows[value_node(v, d), 3] = 1.0
+        return template.with_features(rows)
+
+    return graph
+
+
+def state_graphs(kind: str, task, lifted: LiftedTask | None = None,
+                 gmap: GroundingMap | None = None,
+                 encoder: IndexEncoder | None = None) -> Callable[[object], LearningGraph]:
+    """The per-state graph function of one encoding, bound to a task.
+
+    slg takes a StripsTask and flg an FdrTask. llg takes the ground
+    StripsTask with the lifted task it came from and its grounding map, and
+    encodes states through `build_llg` with the given index encoder (default
+    `IndexEncoder()`). The returned function maps a state as the task's
+    `decode` returns it to that state's graph."""
+    if kind == "slg":
+        if not isinstance(task, StripsTask):
+            raise TypeError("slg encodes propositional tasks")
+        return slg_graphs(task)
+    if kind == "flg":
+        if not isinstance(task, FdrTask):
+            raise TypeError("flg encodes finite-domain tasks")
+        return flg_graphs(task)
+    if kind == "llg":
+        if lifted is None or gmap is None or not isinstance(task, StripsTask):
+            raise TypeError("llg encodes a ground task through its lifted task "
+                            "and grounding map")
+        encoder = encoder or IndexEncoder()
+        return lambda state: build_llg(lifted, ground_state_atoms(gmap, state), encoder)
+    raise ValueError(f"unknown graph kind {kind!r}")
+
+
+def build_slg(task: StripsTask, state: frozenset[int]) -> LearningGraph:
+    """The propositional graph of one state (see `slg_graphs`)."""
+    return slg_graphs(task)(state)
 
 
 def build_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
-    """Finite-domain encoding: variable, value and action nodes; values link
-    to their variable and to the actions that require or set them."""
-    if len(state) != len(task.variables):
-        raise ValueError("state must assign every variable")
-    n_v = len(task.variables)
-    offsets = task.value_offsets
-    value_node = {(v, d): n_v + offsets[v] + d
-                  for v, var in enumerate(task.variables) for d in range(len(var.values))}
-    names = [v.name for v in task.variables]
-    names.extend(f"{var.name}={val}" for var in task.variables for val in var.values)
-    action_base = n_v + len(value_node)
-    names.extend(a.name for a in task.actions)
-    total = action_base + len(task.actions)
-
-    goal = dict(task.goal)
-    features = np.zeros((total, 5), dtype=np.float64)
-    features[:n_v, 0] = 1.0
-    features[action_base:, 1] = 1.0
-    for (v, d), node in value_node.items():
-        features[node, 2] = 1.0
-        if state[v] == d:
-            features[node, 3] = 1.0
-        if goal.get(v) == d:
-            features[node, 4] = 1.0
-
-    edges = []
-    for v, var in enumerate(task.variables):
-        for d in range(len(var.values)):
-            edges.append((v, value_node[(v, d)], "varval"))
-    for i, a in enumerate(task.actions):
-        node = action_base + i
-        for v, d in a.pre:
-            edges.append((value_node[(v, d)], node, "pre"))
-        for v, d in a.eff:
-            edges.append((value_node[(v, d)], node, "eff"))
-    return LearningGraph(flg_kind(), features, edges, tuple(names))
+    """The finite-domain graph of one state (see `flg_graphs`)."""
+    return flg_graphs(task)(state)
 
 
 def build_llg(task: LiftedTask, state: frozenset[Atom],

@@ -66,8 +66,9 @@ class LearningGraph:
     """Nodes are contiguous ids 0..N-1; features is the (N, d) float matrix.
 
     color_keys are hashable per-node keys used as initial colors by the
-    refinement machinery (index identity for index-embedding nodes, feature
-    bits otherwise).
+    refinement machinery; the lifted builder sets them to the feature bits
+    plus index identity, and when they are empty WL colors each node by its
+    feature row.
     """
 
     kind: GraphKind
@@ -95,13 +96,11 @@ class LearningGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-        if not self.color_keys:
-            self.color_keys = tuple(tuple(row) for row in self.features.tolist())
 
     def with_features(self, features: np.ndarray) -> "LearningGraph":
         """Same structure, new features; shares edge storage and adjacency
-        caches. For per-state feature rewrites on a fixed task; color_keys
-        are not carried over (rebuild the graph for refinement use)."""
+        caches. For per-state feature rewrites on a fixed task; the copy has
+        no color_keys, so WL colors it by its new feature rows."""
         if features.shape != self.features.shape:
             raise ValueError("feature shape must match the template graph")
         g = LearningGraph.__new__(LearningGraph)

@@ -37,12 +37,3 @@ class IndexEncoder:
             vec.flags.writeable = False
             self._cache[index] = vec
         return vec
-
-    def min_pairwise_distance(self, upto: int) -> float:
-        vecs = np.stack([self.pe(i) for i in range(1, upto + 1)])
-        best = np.inf
-        for i in range(len(vecs)):
-            d = np.linalg.norm(vecs[i + 1:] - vecs[i], axis=1)
-            if len(d):
-                best = min(best, float(d.min()))
-        return best

@@ -55,9 +55,6 @@ class MpnnModel:
     def labels(self) -> tuple[str, ...]:
         return self.kind.labels
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
 
 def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / (fan_in + fan_out))

@@ -50,8 +50,8 @@ class SearchResult:
     wall_nanos: int
     peak_open_size: int
 
-    def to_json_dict(self, with_timings: bool = False) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "status": self.status,
             "plan": self.plan,
             "expansions": self.expansions,
@@ -60,9 +60,6 @@ class SearchResult:
             "plan_cost": self.plan_cost,
             "peak_open_size": self.peak_open_size,
         }
-        if with_timings:
-            d["wall_nanos"] = self.wall_nanos
-        return d
 
 
 def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:

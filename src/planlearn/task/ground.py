@@ -30,12 +30,6 @@ class GroundingMap:
     action_bindings: tuple[tuple[str, tuple[str, ...]], ...]
     static_predicates: frozenset[str]
 
-    def prop_atom(self, prop_id: int) -> Atom:
-        return self.prop_atoms[prop_id]
-
-    def action_binding(self, action_id: int) -> tuple[str, tuple[str, ...]]:
-        return self.action_bindings[action_id]
-
 
 def static_predicates(task: LiftedTask) -> frozenset[str]:
     fluent = set()

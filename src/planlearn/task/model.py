@@ -99,12 +99,6 @@ class LiftedTask:
                             raise UndeclaredSymbol(
                                 f"schema {schema.name} uses unknown term {term} in {atom}")
 
-    def predicate_arity(self, name: str) -> int:
-        for p in self.predicates:
-            if p.name == name:
-                return p.arity
-        raise UndeclaredSymbol(f"unknown predicate {name}")
-
 
 def _check_ground_atom(atom: Atom, arities: dict[str, int], objs: set[str], where: str):
     if atom.predicate not in arities:

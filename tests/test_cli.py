@@ -194,7 +194,8 @@ def test_experiment_subcommand(tmp_path):
 def test_visitall_outputs_do_not_depend_on_hash_seed(tmp_path):
     """Primary outputs are the same in processes with different string hash
     seeds (PEP 456); visitall actions mention several atoms that the initial
-    state lacks, so grounding must not intern them in set order."""
+    state lacks, so grounding must not intern them in set order. Graphs of
+    every encoding and short trainings cover node order and model bytes."""
     import os
     import subprocess
     import sys
@@ -207,20 +208,28 @@ def test_visitall_outputs_do_not_depend_on_hash_seed(tmp_path):
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         problem = str(root / "suite" / "test" / "p00.pddl")
         domain = str(root / "suite" / "domain.pddl")
-        for argv in (["gen", "--domain", "visitall", "--train", "2:3", "--test", "4",
-                      "--out-dir", str(root / "suite")],
-                     ["ground", "--domain", domain, "--problem", problem,
-                      "--out-dir", str(root / "ground")],
-                     ["graph", "--domain", domain, "--problem", problem, "--kind", "slg",
-                      "--out-dir", str(root / "graph")],
-                     ["solve", "--domain", domain, "--problem", problem,
-                      "--heuristic", "hff", "--out-dir", str(root / "solve")]):
+        runs = [["gen", "--domain", "visitall", "--train", "2:3", "--test", "4",
+                 "--out-dir", str(root / "suite")],
+                ["ground", "--domain", domain, "--problem", problem,
+                 "--out-dir", str(root / "ground")],
+                ["solve", "--domain", domain, "--problem", problem,
+                 "--heuristic", "hff", "--out-dir", str(root / "solve")]]
+        rels = ["suite/manifest.json", "suite/test/p00.pddl", "ground/task.strips",
+                "solve/plan.txt", "solve/result.json"]
+        for kind in ("slg", "flg", "llg"):
+            runs.append(["graph", "--domain", domain, "--problem", problem, "--kind", kind,
+                         "--out-dir", str(root / f"graph-{kind}")])
+            rels += [f"graph-{kind}/graph.json", f"graph-{kind}/graph.dot"]
+        for kind in ("slg", "llg"):
+            runs.append(["train", "--suite", str(root / "suite" / "manifest.json"),
+                         "--kind", kind, "--max-epochs", "2",
+                         "--out-dir", str(root / f"train-{kind}")])
+            rels += [f"train-{kind}/model.json", f"train-{kind}/trace.csv"]
+        for argv in runs:
             done = subprocess.run([sys.executable, "-m", "planlearn.cli", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert done.returncode == 0, done.stderr
-        outputs.append({rel: (root / rel).read_bytes() for rel in (
-            "suite/manifest.json", "suite/test/p00.pddl", "ground/task.strips",
-            "graph/graph.json", "graph/graph.dot", "solve/plan.txt", "solve/result.json")})
+        outputs.append({rel: (root / rel).read_bytes() for rel in rels})
     first, second = outputs
     for rel in first:
         assert first[rel] == second[rel], f"{rel} depends on the hash seed"

@@ -23,6 +23,8 @@ from planlearn.task import (
     StripsTask,
 )
 
+from helpers import min_pairwise_distance
+
 
 def test_slg_single_action_example():
     # one action: 3 preconditions, 2 adds, 2 deletes over 5 propositions
@@ -211,7 +213,7 @@ def test_pe_deterministic_across_instances():
 
 def test_pe_min_pairwise_distance_regression():
     enc = IndexEncoder(4, seed=0)
-    dist = enc.min_pairwise_distance(100)
+    dist = min_pairwise_distance(enc, 100)
     assert dist > 0
     assert dist == pytest.approx(0.05111377855160821, rel=1e-12)
 

@@ -39,7 +39,7 @@ def test_twin_pair_grounds_to_four_actions_each():
     for task in lifted_twin_pair():
         strips, gmap = ground(task, prune_statics=False)
         assert len(strips.actions) == 4
-        assert {gmap.action_binding(i)[0] for i in range(4)} == {"a"}
+        assert {gmap.action_bindings[i][0] for i in range(4)} == {"a"}
 
 
 def test_conflicting_instantiation_rejected(caplog):
@@ -74,7 +74,7 @@ def test_grounding_explosion_cap():
 def test_grounding_map_provenance(gripper_ground):
     task, gmap = gripper_ground
     for i, action in enumerate(task.actions):
-        schema, binding = gmap.action_binding(i)
+        schema, binding = gmap.action_bindings[i]
         assert action.name == f"({schema} {' '.join(binding)})"
     for p, name in enumerate(task.propositions):
-        assert str(gmap.prop_atom(p)) == name
+        assert str(gmap.prop_atoms[p]) == name

@@ -65,7 +65,7 @@ def test_file_size_within_documented_bound(tmp_path):
     model = init_model(llg_kind(4), layer_count=8, hidden_dim=64, seed=0)
     path = tmp_path / "m.json"
     save_model(model, path)
-    n_params = model.num_parameters()
+    n_params = sum(p.size for p in model.params.values())
     expected_layers = 8 * (1 + len(model.kind.labels)) * 64 * 64 + 8 * 64
     assert n_params == expected_layers + 64 * model.kind.dim + (64 * 64 + 64 + 64 + 1)
     assert path.stat().st_size <= 32 * n_params + 4096

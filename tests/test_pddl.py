@@ -23,7 +23,7 @@ def test_zero_ary_predicate_accepted():
     """
     problem = "(define (problem p) (:domain d) (:objects a) (:init (handempty)) (:goal (holding a)))"
     task = parse_pddl(domain, problem)
-    assert task.predicate_arity("handempty") == 0
+    assert {p.name: p.arity for p in task.predicates}["handempty"] == 0
 
 
 def test_undeclared_object_rejected(gripper_domain_text):

@@ -1,7 +1,8 @@
-"""Tooling gate: benchmark workloads that run the search, oracle and
-model-heuristic code run one round each and pass their own checks (valid
-plans, solved searches, blind and hff counters equal to perfbench/pinned.json
-on seed 0, every theory verdict passing)."""
+"""Tooling gate: benchmark workloads that run the training-set, search,
+oracle and model-heuristic code run one round each and pass their own checks
+(finite losses over the set epochs, valid plans, solved searches, blind and
+hff counters equal to perfbench/pinned.json on seed 0, every theory verdict
+passing)."""
 
 import subprocess
 import sys
@@ -26,6 +27,6 @@ def test_search_oracle_hff_round_passes_its_checks():
 
 
 @pytest.mark.parametrize("workload", ["search-oracle-blind", "theory", "search-model-slg",
-                                      "search-model-llg"])
+                                      "search-model-llg", "train-slg", "train-llg"])
 def test_round_passes_its_checks(workload):
     _round_passes_its_checks(workload)

@@ -171,15 +171,16 @@ def test_model_heuristic_paths_solve(gripper_ground, gripper_lifted, gripper_fdr
 
 def test_model_heuristic_rewrite_equals_fresh_graph(gripper_ground, gripper_fdr):
     """The per-state feature rewrite of the slg/flg template gives the same
-    estimate as building the graph for that state from scratch."""
-    from planlearn.graphs import build_flg, build_slg, flg_kind, slg_kind
+    estimate as the reference full build of that state's graph."""
+    from helpers import reference_flg, reference_slg
+    from planlearn.graphs import flg_kind, slg_kind
     from planlearn.heuristics import reachable_states
     from planlearn.nn import forward, init_model
     from planlearn.search import ModelHeuristic
 
     strips, _ = gripper_ground
-    for task, kind, build in ((strips, slg_kind(), build_slg),
-                              (gripper_fdr, flg_kind(), build_flg)):
+    for task, kind, build in ((strips, slg_kind(), reference_slg),
+                              (gripper_fdr, flg_kind(), reference_flg)):
         # seed 1 gives positive outputs on both tasks, so the clamp at zero
         # cannot hide a wrong feature row
         model = init_model(kind, layer_count=2, hidden_dim=8, seed=1)

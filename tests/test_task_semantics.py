@@ -147,7 +147,7 @@ def _lifted_reachable_fluents(task):
 def test_ground_then_apply_commutes_with_lifted_semantics(gripper_lifted, gripper_ground):
     strips, gmap = gripper_ground
     ground_states = {
-        frozenset(gmap.prop_atom(p) for p in s) for s in reachable_states(strips)}
+        frozenset(gmap.prop_atoms[p] for p in s) for s in reachable_states(strips)}
     assert ground_states == _lifted_reachable_fluents(gripper_lifted)
 
 
