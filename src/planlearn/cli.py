@@ -48,6 +48,12 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok)
 
 
+def _index_dim(args) -> int:
+    if args.index_dim < 1:
+        raise UsageError(f"--index-dim must be at least 1, got {args.index_dim}")
+    return args.index_dim
+
+
 def _read(path: str) -> str:
     return Path(path).read_text()
 
@@ -97,10 +103,11 @@ def _encoded_task(kind: str, strips, fdr):
 
 
 def cmd_graph(args) -> int:
+    index_dim = _index_dim(args)
     strips, gmap, lifted, fdr = _load_tasks(args)
     if args.kind == "llg" and lifted is None:
         raise UsageError("the lifted encoding needs --domain/--problem input")
-    encoder = IndexEncoder(args.index_dim, seed=args.seed) if args.kind == "llg" else None
+    encoder = IndexEncoder(index_dim, seed=args.seed) if args.kind == "llg" else None
     task = _encoded_task(args.kind, strips, fdr)
     graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
     out = _out_dir(args)
@@ -130,9 +137,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    index_dim = _index_dim(args)
     suite = load_suite(args.suite)
     samples = build_training_set(suite.split("train"), args.kind,
-                                 encoder_seed=args.seed, index_dim=args.index_dim)
+                                 encoder_seed=args.seed, index_dim=index_dim)
     config = TrainConfig(seed=args.seed, layer_count=args.layers,
                          hidden_dim=args.hidden, aggregator=args.aggregator,
                          readout=args.readout, max_epochs=args.max_epochs)

@@ -61,7 +61,7 @@ def llg_kind(index_dim: int = 4) -> GraphKind:
     return GraphKind("llg", index_dim)
 
 
-@dataclass
+@dataclass(eq=False)
 class LearningGraph:
     """Nodes are contiguous ids 0..N-1; features is the (N, d) float matrix.
 
@@ -69,6 +69,10 @@ class LearningGraph:
     refinement machinery; the lifted builder sets them to the feature bits
     plus index identity, and when they are empty WL colors each node by its
     feature row.
+
+    Graphs compare and hash by identity. The edge storage (edge list,
+    adjacency cache and the aggregation plans `nn.model` keys by hidden
+    width) is shared by every `with_features` copy.
     """
 
     kind: GraphKind
@@ -78,6 +82,7 @@ class LearningGraph:
     color_keys: tuple = ()
     seed: int = 0
     _adjacency: dict = field(default_factory=dict, repr=False)
+    _plans: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         n, d = self.features.shape
@@ -98,9 +103,10 @@ class LearningGraph:
             seen.add(key)
 
     def with_features(self, features: np.ndarray) -> "LearningGraph":
-        """Same structure, new features; shares edge storage and adjacency
-        caches. For per-state feature rewrites on a fixed task; the copy has
-        no color_keys, so WL colors it by its new feature rows."""
+        """Same structure, new features; shares edge storage, adjacency
+        cache and aggregation plans. For per-state feature rewrites on a
+        fixed task; the copy has no color_keys, so WL colors it by its new
+        feature rows."""
         if features.shape != self.features.shape:
             raise ValueError("feature shape must match the template graph")
         g = LearningGraph.__new__(LearningGraph)
@@ -111,6 +117,7 @@ class LearningGraph:
         g.color_keys = ()
         g.seed = self.seed
         g._adjacency = self._adjacency
+        g._plans = self._plans
         return g
 
     @property
@@ -122,19 +129,19 @@ class LearningGraph:
         return len(self.edges)
 
     def adjacency(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """(dst, src) id arrays for the label, both edge orientations."""
-        cached = self._adjacency.get(label)
-        if cached is None:
-            dst, src = [], []
+        """(dst, src) id arrays for the label, both edge orientations: each
+        edge (u, v) in edge order as the adjacent pair u<-v, v<-u. The first
+        call indexes every label in one pass over the edges."""
+        if not self._adjacency:
+            pairs = {lab: ([], []) for lab in self.kind.labels}
             for u, v, lab in self.edges:
-                if lab == label:
-                    dst.append(u)
-                    src.append(v)
-                    dst.append(v)
-                    src.append(u)
-            cached = (np.asarray(dst, dtype=np.int64), np.asarray(src, dtype=np.int64))
-            self._adjacency[label] = cached
-        return cached
+                dst, src = pairs[lab]
+                dst += (u, v)
+                src += (v, u)
+            for lab, (dst, src) in pairs.items():
+                self._adjacency[lab] = (np.asarray(dst, dtype=np.int64),
+                                        np.asarray(src, dtype=np.int64))
+        return self._adjacency[label]
 
     def label_counts(self) -> dict[str, int]:
         counts = {lab: 0 for lab in self.kind.labels}

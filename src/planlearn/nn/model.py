@@ -16,11 +16,37 @@ column, weighted by the row values. bincount adds each bin's weights in
 input order starting from zero, which is exactly what np.add.at does, so
 results are bit-identical to it and model files, loss traces and search
 counters do not depend on which of the two computes them. Max aggregation
-and max readout go through `_segment_max`: a stable sort by destination
-and np.maximum.reduceat over the resulting segments; max is exact, so it
-equals np.maximum.at too. The operation order is otherwise that of the
-plain formulation above: messages are W_label h, gathered per edge and
-then summed, never reassociated as W_label (A h).
+and max readout go through `_scatter_max`, one np.maximum.at over the same
+flat positions; on a 1-D array numpy (1.25 and later) runs it about three
+times faster than np.maximum.reduceat over destination-sorted segments,
+measured on 16-graph slg training batches. The operation order is otherwise
+that of the plain formulation above: messages are W_label h, gathered per
+edge and then summed, never reassociated as W_label (A h).
+
+The flat indices depend only on a batch's topology and the hidden width F,
+so they live in an aggregation plan (`_Plan`) built once per topology and
+width. Per non-empty label a plan holds the flat destination index, the
+mean divisor (in-degree, at least 1) and the rows without in-edges, which
+max sets to zero; it also holds the readout's flat graph index. A graph's
+plans are owned by its edge storage, keyed by F, and shared by every
+`with_features` copy, so a search evaluating one state per call builds one
+plan per slg/flg task and every theory graph one per width. A batch of
+several graphs builds its plan on entry to `forward_packed`, hands it to
+`backward_packed` in the cache, and keeps nothing. A training batch's plan
+serves one forward and one backward, and the hold-out batch's would live
+for the whole run: keeping them on the batch only held memory (peak RSS of
+the `train-slg` benchmark went from 58.6 to 62.3 MB, of `train-llg` from
+71.2 to 75.5 MB, with no faster step).
+
+The backward scatters into sources rather than destinations, and uses the
+destination index for that too. `LearningGraph.adjacency` lists each
+undirected edge as the adjacent pair (u->v, v->u) and has no self-loops,
+so summing X[dst] into sources gives every node the same contributions in
+the same order as summing X[src] into destinations:
+_scatter_add(src, X[dst]) equals _scatter_add(dst, X[src]) bit for bit,
+and per-edge values scatter into sources as the dst scatter of their
+pair-swapped rows. `pack_graphs` keeps each pair adjacent, and building a
+plan checks it.
 
 Only numpy is used. A scipy.sparse operator would be faster per product,
 but importing scipy costs tens of MB and a fraction of a second in every
@@ -30,6 +56,7 @@ process that imports this package, which is most of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,9 +112,12 @@ def init_model(kind: GraphKind, layer_count: int = 8, hidden_dim: int = 64,
 
 # ── graph packing ─────────────────────────────────────────────────────────
 
-@dataclass
+@dataclass(eq=False)
 class PackedBatch:
-    """Disjoint union of graphs sharing one node-feature matrix."""
+    """Disjoint union of graphs sharing one node-feature matrix.
+
+    `plans` is the graph's own plan table for a one-graph batch and None
+    for several graphs, whose plan lives for one forward and backward."""
 
     kind: GraphKind
     features: np.ndarray                       # (N, d)
@@ -95,6 +125,7 @@ class PackedBatch:
     segments: np.ndarray                       # (N,) graph index per node
     num_graphs: int
     node_counts: np.ndarray                    # (num_graphs,)
+    plans: dict | None = None                  # hidden width -> _Plan
 
 
 def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
@@ -107,6 +138,11 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
                 f"mixed graph kinds in batch: {g.kind} vs {kind}")
         if g.num_nodes == 0:
             raise ValueError("cannot evaluate a graph with no nodes")
+    if len(graphs) == 1:
+        g = graphs[0]
+        adjacency = {lab: g.adjacency(lab) for lab in kind.labels}
+        return PackedBatch(kind, g.features, adjacency, np.zeros(g.num_nodes, dtype=np.int64),
+                           1, np.array([g.num_nodes], dtype=np.int64), g._plans)
     features = np.concatenate([g.features for g in graphs], axis=0)
     counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -127,77 +163,124 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
     return PackedBatch(kind, features, adjacency, segments, len(graphs), counts)
 
 
+# ── aggregation plans ─────────────────────────────────────────────────────
+
+class _LabelPlan(NamedTuple):
+    dst: np.ndarray          # (E,) destination per edge; orientations adjacent
+    src: np.ndarray          # (E,) source per edge
+    flat: np.ndarray         # (E*F,) dst*F + column: the scatter index
+    divisor: np.ndarray      # (N, 1) in-degree, at least 1
+    isolated: np.ndarray     # (N,) rows with no in-edge
+
+
+class _Plan(NamedTuple):
+    labels: dict[str, _LabelPlan]   # non-empty labels, in kind order
+    readout: np.ndarray             # (N*F,) graph*F + column
+
+
+def _flat_index(index, width):
+    return (index[:, None] * width + np.arange(width)).ravel()
+
+
+def _build_plan(batch: PackedBatch, width: int) -> _Plan:
+    n = batch.features.shape[0]
+    labels = {}
+    for lab in batch.kind.labels:
+        dst, src = batch.adjacency[lab]
+        if len(dst) == 0:
+            continue
+        if not (np.array_equal(dst[0::2], src[1::2]) and np.array_equal(dst[1::2], src[0::2])):
+            raise ValueError(f"{lab!r} edges must list both orientations of each edge adjacently")
+        degree = np.bincount(dst, minlength=n)
+        labels[lab] = _LabelPlan(dst, src, _flat_index(dst, width),
+                                 np.maximum(degree, 1).astype(np.float64)[:, None],
+                                 degree == 0)
+    return _Plan(labels, _flat_index(batch.segments, width))
+
+
+def _plan(batch: PackedBatch, width: int) -> _Plan:
+    """The batch's plan for hidden width `width`: the graph's cached one
+    for a one-graph batch, a fresh one otherwise."""
+    if batch.plans is None:
+        return _build_plan(batch, width)
+    plan = batch.plans.get(width)
+    if plan is None:
+        plan = batch.plans[width] = _build_plan(batch, width)
+    return plan
+
+
 # ── forward / backward ────────────────────────────────────────────────────
 
-def _scatter_add(index, values, n):
-    """(n, F) rows out[i] = sum of values[e] over index[e] == i, in order.
-
-    The flat index is rebuilt per call: keeping (E*F)-sized index arrays
-    across layers costs more memory than rebuilding them costs time.
-    """
+def _scatter_add(flat, values, n):
+    """(n, F) rows out[i] = sum of values[e] over the edges e that `flat`
+    (a plan's flat index) sends to row i, in order."""
     width = values.shape[1]
-    flat = (index[:, None] * width + np.arange(width)).ravel()
     return np.bincount(flat, weights=values.ravel(),
                        minlength=n * width).reshape(n, width)
 
 
-def _segment_max(index, values, n):
-    """(n, F) rows out[i] = max of values[e] over index[e] == i; zero if none.
-    `index` must be non-empty."""
-    out = np.zeros((n, values.shape[1]))
-    order = np.argsort(index, kind="stable")
-    keys = index[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    out[keys[starts]] = np.maximum.reduceat(values[order], starts, axis=0)
+def _scatter_max(flat, values, n):
+    """(n, F) rows out[i] = max of values[e] over the edges e that `flat`
+    sends to row i; -inf where there are none."""
+    width = values.shape[1]
+    out = np.full(n * width, -np.inf)
+    np.maximum.at(out, flat, values.ravel())
+    return out.reshape(n, width)
+
+
+def _swap_orientations(values):
+    """Per-edge rows with the two orientations of every edge exchanged."""
+    return values.reshape(-1, 2, values.shape[1])[:, ::-1].reshape(values.shape)
+
+
+def _aggregate(messages, lp: _LabelPlan, aggregator):
+    """Aggregate per-edge messages messages[src] into destination rows."""
+    n = messages.shape[0]
+    if aggregator == "max":
+        out = _scatter_max(lp.flat, messages[lp.src], n)
+        out[lp.isolated] = 0.0
+        return out
+    out = _scatter_add(lp.flat, messages[lp.src], n)
+    if aggregator == "mean":
+        out /= lp.divisor
     return out
 
 
-def _aggregate(messages, dst, src, n, aggregator, counts):
-    """Aggregate per-edge messages messages[src] into destination rows;
-    max also returns its result as the backward cache."""
-    if len(dst) == 0:
-        return np.zeros((n, messages.shape[1])), None
-    if aggregator == "max":
-        out = _segment_max(dst, messages[src], n)
-        return out, out
-    out = _scatter_add(dst, messages[src], n)
-    if aggregator == "mean":
-        out /= np.maximum(counts, 1)[:, None]
-    return out, None
-
-
-def _aggregate_backward(dout, messages, agg_out, dst, src, n, aggregator, counts):
+def _aggregate_backward(dout, messages, agg_out, lp: _LabelPlan, aggregator):
     """Gradient wrt per-node messages, an (n, F) array. Only max reads
-    `messages` and `agg_out`."""
+    `messages` and `agg_out`. Scatters into sources through the destination
+    index (see the module docstring)."""
+    n = dout.shape[0]
     if aggregator == "sum":
-        return _scatter_add(src, dout[dst], n)
+        return _scatter_add(lp.flat, dout[lp.src], n)
     if aggregator == "mean":
-        return _scatter_add(src, (dout / np.maximum(counts, 1)[:, None])[dst], n)
+        return _scatter_add(lp.flat, (dout / lp.divisor)[lp.src], n)
     # max: route to attaining edges, splitting equally among ties
-    attain = (messages[src] == agg_out[dst]).astype(np.float64)
-    tie_count = _scatter_add(dst, attain, n)
-    attain /= np.maximum(tie_count[dst], 1.0)      # in place: E*F temporaries set peak memory
-    attain *= dout[dst]
-    return _scatter_add(src, attain, n)
+    attain = (messages[lp.src] == agg_out[lp.dst]).astype(np.float64)
+    tie_count = np.maximum(_scatter_add(lp.flat, attain, n), 1.0)
+    attain /= tie_count[lp.dst]     # in place: E*F temporaries set peak memory
+    attain *= dout[lp.dst]
+    return _scatter_add(lp.flat, _swap_orientations(attain), n)
 
 
-def _segment_reduce(h, segments, num_graphs, counts, readout):
+def _segment_reduce(h, plan: _Plan, batch: PackedBatch, readout):
     if readout == "max":
-        out = _segment_max(segments, h, num_graphs)
+        out = _scatter_max(plan.readout, h, batch.num_graphs)   # no graph is empty
         return out, out
-    out = _scatter_add(segments, h, num_graphs)
+    out = _scatter_add(plan.readout, h, batch.num_graphs)
     if readout == "mean":
-        out /= counts[:, None]
+        out /= batch.node_counts[:, None]
     return out, None
 
 
-def _segment_reduce_backward(dout, h, reduced, segments, counts, readout):
+def _segment_reduce_backward(dout, h, reduced, plan: _Plan, batch: PackedBatch, readout):
+    segments = batch.segments
     if readout == "sum":
         return dout[segments]
     if readout == "mean":
-        return dout[segments] / counts[segments, None]
+        return dout[segments] / batch.node_counts[segments, None]
     attain = (h == reduced[segments]).astype(np.float64)
-    tie_count = _scatter_add(segments, attain, len(reduced))
+    tie_count = _scatter_add(plan.readout, attain, len(reduced))
     return dout[segments] * attain / np.maximum(tie_count[segments], 1.0)
 
 
@@ -212,36 +295,31 @@ def forward_packed(model: MpnnModel, batch: PackedBatch, need_cache: bool = Fals
     """Outputs for every graph in the batch; optionally the backward cache."""
     _check_kind(model, batch.kind, batch.features.shape[1])
     p = model.params
-    n = batch.features.shape[0]
-    counts = {lab: np.bincount(batch.adjacency[lab][0], minlength=n)
-              for lab in model.labels}
+    plan = _plan(batch, model.hidden_dim)
 
     h = batch.features @ p["input_proj"].T
     layer_cache = []
     for t in range(model.layer_count):
         z = h @ p[f"layer{t}.self"].T + p[f"layer{t}.bias"]
         agg_cache = {}
-        for lab in model.labels:
-            dst, src = batch.adjacency[lab]
-            messages = h @ p[f"layer{t}.label.{lab}"].T
-            agg, max_out = _aggregate(messages, dst, src, n, model.aggregator, counts[lab])
+        for lab, lp in plan.labels.items():
+            agg = _aggregate(h @ p[f"layer{t}.label.{lab}"].T, lp, model.aggregator)
             z += agg
-            agg_cache[lab] = max_out
+            agg_cache[lab] = agg if model.aggregator == "max" else None
         mask = z > 0
         new_h = np.where(mask, z, 0.0)
         if need_cache:
             layer_cache.append((h, mask, agg_cache))
         h = new_h
 
-    g, readout_max = _segment_reduce(h, batch.segments, batch.num_graphs,
-                                     batch.node_counts, model.readout)
+    g, readout_max = _segment_reduce(h, plan, batch, model.readout)
     z1 = g @ p["head.w1"].T + p["head.b1"]
     a1 = np.where(z1 > 0, z1, 0.0)
     out = a1 @ p["head.w2"] + p["head.b2"][0]
     if not need_cache:
         return out, None
     cache = {"layers": layer_cache, "final_h": h, "g": g, "z1": z1, "a1": a1,
-             "readout_max": readout_max, "counts": counts}
+             "readout_max": readout_max, "plan": plan}
     return out, cache
 
 
@@ -250,7 +328,7 @@ def backward_packed(model: MpnnModel, batch: PackedBatch, cache, dout: np.ndarra
     p = model.params
     grads = {name: np.zeros_like(arr) for name, arr in p.items()}
     a1, z1, g = cache["a1"], cache["z1"], cache["g"]
-    counts = cache["counts"]
+    plan = cache["plan"]
 
     grads["head.b2"][0] = dout.sum()
     grads["head.w2"][:] = a1.T @ dout
@@ -261,7 +339,7 @@ def backward_packed(model: MpnnModel, batch: PackedBatch, cache, dout: np.ndarra
     dg = dz1 @ p["head.w1"]
 
     dh = _segment_reduce_backward(dg, cache["final_h"], cache["readout_max"],
-                                  batch.segments, batch.node_counts, model.readout)
+                                  plan, batch, model.readout)
 
     for t in reversed(range(model.layer_count)):
         h_in, mask, agg_cache = cache["layers"][t]
@@ -269,14 +347,10 @@ def backward_packed(model: MpnnModel, batch: PackedBatch, cache, dout: np.ndarra
         grads[f"layer{t}.bias"][:] = dz.sum(axis=0)
         grads[f"layer{t}.self"][:] = dz.T @ h_in
         dh = dz @ p[f"layer{t}.self"]
-        for lab in model.labels:
-            dst, src = batch.adjacency[lab]
-            if len(dst) == 0:
-                continue
+        for lab, lp in plan.labels.items():
             w = p[f"layer{t}.label.{lab}"]
             messages = h_in @ w.T if model.aggregator == "max" else None
-            dM = _aggregate_backward(dz, messages, agg_cache[lab], dst, src,
-                                     h_in.shape[0], model.aggregator, counts[lab])
+            dM = _aggregate_backward(dz, messages, agg_cache[lab], lp, model.aggregator)
             grads[f"layer{t}.label.{lab}"][:] = dM.T @ h_in
             dh += dM @ w
 

@@ -89,3 +89,122 @@ def reference_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
         for v, d in a.eff:
             edges.append((value_node[(v, d)], node, "eff"))
     return LearningGraph(flg_kind(), features, edges, tuple(names))
+
+
+# The message-passing network written with np.add.at and np.maximum.at, the
+# slow oracle for planlearn.nn.model. It packs the graphs itself from their
+# edge lists and scatters the backward into sources, so it shares no index,
+# plan or packing code with the model.
+
+def _reference_pack(graphs: list[LearningGraph]):
+    """(features, segments, node counts, label -> (dst, src)) of the batch."""
+    counts = np.array([g.num_nodes for g in graphs])
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    edges = {lab: ([], []) for lab in graphs[0].kind.labels}
+    for g, off in zip(graphs, offsets):
+        for u, v, lab in g.edges:
+            dst, src = edges[lab]
+            dst += [u + off, v + off]
+            src += [v + off, u + off]
+    edges = {lab: (np.array(dst, dtype=np.int64), np.array(src, dtype=np.int64))
+             for lab, (dst, src) in edges.items()}
+    features = np.concatenate([g.features for g in graphs], axis=0)
+    segments = np.repeat(np.arange(len(graphs)), counts)
+    return features, segments, counts, edges
+
+
+def reference_aggregate(messages, dst, src, aggregator):
+    n = messages.shape[0]
+    counts = np.bincount(dst, minlength=n)
+    if aggregator == "max":
+        out = np.full(messages.shape, -np.inf)
+        np.maximum.at(out, dst, messages[src])
+        out[counts == 0] = 0.0
+        return out
+    out = np.zeros(messages.shape)
+    np.add.at(out, dst, messages[src])
+    if aggregator == "mean":
+        nz = counts > 0
+        out[nz] /= counts[nz, None]
+    return out
+
+
+def reference_aggregate_backward(dout, messages, agg_out, dst, src, aggregator):
+    n = dout.shape[0]
+    dM = np.zeros(dout.shape)
+    if aggregator == "sum":
+        np.add.at(dM, src, dout[dst])
+    elif aggregator == "mean":
+        np.add.at(dM, src, (dout / np.maximum(np.bincount(dst, minlength=n), 1)[:, None])[dst])
+    else:
+        attain = (messages[src] == agg_out[dst]).astype(np.float64)
+        tie_count = np.zeros(dout.shape)
+        np.add.at(tie_count, dst, attain)
+        np.add.at(dM, src, dout[dst] * (attain / np.maximum(tie_count[dst], 1.0)))
+    return dM
+
+
+def reference_forward_backward(model, graphs: list[LearningGraph], dout: np.ndarray):
+    """(outputs, gradients of sum_b dout[b] * output[b]) for the batch."""
+    p = model.params
+    features, segments, counts, edges = _reference_pack(graphs)
+    h = features @ p["input_proj"].T
+    layers = []
+    for t in range(model.layer_count):
+        z = h @ p[f"layer{t}.self"].T + p[f"layer{t}.bias"]
+        aggs = {}
+        for lab in model.labels:
+            dst, src = edges[lab]
+            aggs[lab] = reference_aggregate(h @ p[f"layer{t}.label.{lab}"].T, dst, src,
+                                            model.aggregator)
+            z += aggs[lab]
+        mask = z > 0
+        layers.append((h, mask, aggs))
+        h = np.where(mask, z, 0.0)
+
+    g = np.zeros((len(graphs), h.shape[1]))
+    if model.readout == "max":
+        g[:] = -np.inf
+        np.maximum.at(g, segments, h)
+    else:
+        np.add.at(g, segments, h)
+        if model.readout == "mean":
+            g /= counts[:, None]
+    z1 = g @ p["head.w1"].T + p["head.b1"]
+    a1 = np.where(z1 > 0, z1, 0.0)
+    out = a1 @ p["head.w2"] + p["head.b2"][0]
+
+    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads["head.b2"][0] = dout.sum()
+    grads["head.w2"][:] = a1.T @ dout
+    dz1 = np.where(z1 > 0, np.outer(dout, p["head.w2"]), 0.0)
+    grads["head.b1"][:] = dz1.sum(axis=0)
+    grads["head.w1"][:] = dz1.T @ g
+    dg = dz1 @ p["head.w1"]
+    if model.readout == "sum":
+        dh = dg[segments]
+    elif model.readout == "mean":
+        dh = dg[segments] / counts[segments, None]
+    else:
+        attain = (h == g[segments]).astype(np.float64)
+        tie_count = np.zeros_like(g)
+        np.add.at(tie_count, segments, attain)
+        dh = dg[segments] * attain / np.maximum(tie_count[segments], 1.0)
+
+    for t in reversed(range(model.layer_count)):
+        h_in, mask, aggs = layers[t]
+        dz = np.where(mask, dh, 0.0)
+        grads[f"layer{t}.bias"][:] = dz.sum(axis=0)
+        grads[f"layer{t}.self"][:] = dz.T @ h_in
+        dh = dz @ p[f"layer{t}.self"]
+        for lab in model.labels:
+            dst, src = edges[lab]
+            if len(dst) == 0:
+                continue
+            w = p[f"layer{t}.label.{lab}"]
+            dM = reference_aggregate_backward(dz, h_in @ w.T, aggs[lab], dst, src,
+                                              model.aggregator)
+            grads[f"layer{t}.label.{lab}"][:] = dM.T @ h_in
+            dh += dM @ w
+    grads["input_proj"][:] = dh.T @ features
+    return out, grads

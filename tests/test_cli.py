@@ -58,6 +58,26 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["nonsense"]) == 2
 
 
+def test_graph_index_dim_below_one_is_usage_error(tmp_path, capsys):
+    assert run(["graph", "--domain", DOMAIN, "--problem", PROBLEM, "--kind", "llg",
+                "--index-dim", "0", "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --index-dim must be at least 1") and err.count("\n") == 1
+    assert not (tmp_path / "graph.json").exists()
+
+
+def test_train_index_dim_below_one_is_usage_error(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    assert run(["gen", "--domain", "gripper", "--train", "1:2", "--test", "3",
+                "--out-dir", str(suite)]) == 0
+    capsys.readouterr()
+    assert run(["train", "--suite", str(suite / "manifest.json"), "--kind", "llg",
+                "--index-dim", "0", "--out-dir", str(tmp_path / "train")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --index-dim must be at least 1") and err.count("\n") == 1
+    assert not (tmp_path / "train" / "model.json").exists()
+
+
 def test_oracle_json(capsys):
     assert run(["oracle", "--domain", DOMAIN, "--problem", PROBLEM,
                 "--heuristic", "hmax"]) == 0

@@ -1,88 +1,24 @@
-"""Differential test: the bincount scatter and sorted-segment max against
-np.add.at / np.maximum.at.
+"""Differential test: the model's forward and backward against the
+np.add.at / np.maximum.at reference in tests/helpers.py.
 
-The reference functions below are the ufunc.at implementations the model
-used before; they live here only as the slow oracle. Every comparison is
-exact (np.array_equal), because the fast path promises the same operation
-order, not merely close results.
+The reference packs the graphs itself and scatters the backward into
+sources, so it shares no plan, index or packing code with the model. Every
+comparison is exact (np.array_equal), because the fast path promises the
+same operation order, not merely close results. Batches of one graph use
+the plan cached on the graph's edge storage; batches of several graphs build
+theirs per call; `with_features` copies reuse their template's.
 """
 
 import numpy as np
 import pytest
+from helpers import reference_aggregate, reference_aggregate_backward, reference_forward_backward
 
-from planlearn.graphs import IndexEncoder, LearningGraph, build_flg, build_llg, build_slg, slg_kind
+from planlearn.graphs import IndexEncoder, LearningGraph, build_llg, slg_kind
+from planlearn.graphs.builders import flg_graphs, slg_graphs
 from planlearn.nn import backward_packed, forward_packed, init_model, pack_graphs
 from planlearn.nn import model as nn_model
 from planlearn.task import successors
 from planlearn.task.ground import ground_state_atoms
-
-
-def ref_aggregate(messages, dst, src, n, aggregator, counts):
-    out = np.zeros((n, messages.shape[1]))
-    if len(dst) == 0:
-        return out, None
-    if aggregator == "sum":
-        np.add.at(out, dst, messages[src])
-        return out, None
-    if aggregator == "mean":
-        np.add.at(out, dst, messages[src])
-        nz = counts > 0
-        out[nz] /= counts[nz, None]
-        return out, None
-    filled = np.full((n, messages.shape[1]), -np.inf)
-    np.maximum.at(filled, dst, messages[src])
-    filled[counts == 0] = 0.0
-    return filled, filled
-
-
-def ref_aggregate_backward(dout, messages, agg_out, dst, src, n, aggregator, counts):
-    dM = np.zeros((n, dout.shape[1]))
-    if len(dst) == 0:
-        return dM
-    if aggregator == "sum":
-        np.add.at(dM, src, dout[dst])
-        return dM
-    if aggregator == "mean":
-        scaled = dout / np.maximum(counts, 1)[:, None]
-        np.add.at(dM, src, scaled[dst])
-        return dM
-    attain = (messages[src] == agg_out[dst]).astype(np.float64)
-    tie_count = np.zeros((n, messages.shape[1]))
-    np.add.at(tie_count, dst, attain)
-    weight = attain / np.maximum(tie_count[dst], 1.0)
-    np.add.at(dM, src, dout[dst] * weight)
-    return dM
-
-
-def ref_segment_reduce(h, segments, num_graphs, counts, readout):
-    out = np.zeros((num_graphs, h.shape[1]))
-    if readout in ("sum", "mean"):
-        np.add.at(out, segments, h)
-        if readout == "mean":
-            out /= counts[:, None]
-        return out, None
-    filled = np.full((num_graphs, h.shape[1]), -np.inf)
-    np.maximum.at(filled, segments, h)
-    return filled, filled
-
-
-def ref_segment_reduce_backward(dout, h, reduced, segments, counts, readout):
-    if readout == "sum":
-        return dout[segments]
-    if readout == "mean":
-        return dout[segments] / counts[segments, None]
-    attain = (h == reduced[segments]).astype(np.float64)
-    tie_count = np.zeros_like(reduced)
-    np.add.at(tie_count, segments, attain)
-    return dout[segments] * attain / np.maximum(tie_count[segments], 1.0)
-
-
-REFERENCE = {
-    "_aggregate": ref_aggregate,
-    "_aggregate_backward": ref_aggregate_backward,
-    "_segment_reduce": ref_segment_reduce,
-    "_segment_reduce_backward": ref_segment_reduce_backward,
-}
 
 
 def tie_graph():
@@ -102,53 +38,58 @@ def first_states(task):
     return [task.init] + [task.decode(nxt) for _, nxt in successors(task, s0)]
 
 
-def slg_batch(task):
-    states = first_states(task)
-    return [build_slg(task, s) for s in states[:4]] + [tie_graph()]
-
-
-def flg_batch(task):
-    states = first_states(task)
-    return [build_flg(task, s) for s in states[:4]]
-
-
-def llg_batch(lifted, task, gmap):
-    encoder = IndexEncoder(4, seed=0)
-    states = first_states(task)
-    return [build_llg(lifted, ground_state_atoms(gmap, s), encoder) for s in states[:3]]
+def with_random_features(graph, seed):
+    """A `with_features` copy of `graph` with random rows of the same shape."""
+    rows = np.round(np.random.default_rng(seed).random(graph.features.shape), 1)
+    return graph.with_features(rows)
 
 
 @pytest.fixture(scope="module")
-def batches(gripper_lifted, gripper_ground, gripper_fdr):
+def graph_lists(gripper_lifted, gripper_ground, gripper_fdr):
+    """Per kind, graphs to evaluate alone and as one batch. slg and flg
+    states are copies of one task template, so they share its plans."""
     task, gmap = gripper_ground
-    return {
-        "slg": pack_graphs(slg_batch(task)),
-        "flg": pack_graphs(flg_batch(gripper_fdr)),
-        "llg": pack_graphs(llg_batch(gripper_lifted, task, gmap)),
-    }
+    slg = slg_graphs(task)
+    flg = flg_graphs(gripper_fdr)
+    encoder = IndexEncoder(4, seed=0)
+    slg_list = [slg(s) for s in first_states(task)[:4]] + [tie_graph()]
+    flg_list = [flg(s) for s in first_states(gripper_fdr)[:4]]
+    llg_list = [build_llg(gripper_lifted, ground_state_atoms(gmap, s), encoder)
+                for s in first_states(task)[:3]]
+    return {kind: graphs + [with_random_features(graphs[0], 5)]
+            for kind, graphs in (("slg", slg_list), ("flg", flg_list), ("llg", llg_list))}
 
 
-def run(model, batch):
+def run(model, graphs):
+    batch = pack_graphs(graphs)
     out, cache = forward_packed(model, batch, need_cache=True)
     dout = np.linspace(-1.0, 1.0, len(out))
-    return out, backward_packed(model, batch, cache, dout)
+    return out, backward_packed(model, batch, cache, dout), dout
+
+
+def assert_matches_reference(model, graphs):
+    out, grads, dout = run(model, graphs)
+    ref_out, ref_grads = reference_forward_backward(model, graphs, dout)
+    assert np.array_equal(out, ref_out)
+    assert sorted(grads) == sorted(ref_grads)
+    for name in ref_grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 @pytest.mark.parametrize("kind", ["slg", "flg", "llg"])
 @pytest.mark.parametrize("aggregator", ["mean", "max", "sum"])
 @pytest.mark.parametrize("readout", ["sum", "mean", "max"])
-def test_forward_and_gradients_bit_identical(batches, monkeypatch, kind, aggregator, readout):
-    batch = batches[kind]
-    model = init_model(batch.kind, layer_count=3, hidden_dim=8,
+def test_forward_and_gradients_bit_identical(graph_lists, kind, aggregator, readout):
+    graphs = graph_lists[kind]
+    model = init_model(graphs[0].kind, layer_count=3, hidden_dim=8,
                        aggregator=aggregator, readout=readout, seed=7)
-    out, grads = run(model, batch)
-    for name, fn in REFERENCE.items():
-        monkeypatch.setattr(nn_model, name, fn)
-    ref_out, ref_grads = run(model, batch)
-    assert np.array_equal(out, ref_out)
-    assert sorted(grads) == sorted(ref_grads)
-    for name in ref_grads:
-        assert np.array_equal(grads[name], ref_grads[name]), name
+    assert_matches_reference(model, graphs)
+    for g in graphs:
+        assert_matches_reference(model, [g])
+    # a second pass runs every one-graph batch on the plan the first cached
+    for g in graphs:
+        assert model.hidden_dim in g._plans
+        assert_matches_reference(model, [g])
 
 
 def test_tie_graph_exercises_every_edge_case():
@@ -170,13 +111,16 @@ def test_tie_graph_exercises_every_edge_case():
 def test_primitives_match_reference_on_random_edges(aggregator):
     rng = np.random.default_rng(3)
     n, width = 40, 5
-    dst, src = rng.integers(n, size=200), rng.integers(n, size=200)
+    pairs = {(int(min(u, v)), int(max(u, v)))
+             for u, v in rng.integers(n, size=(120, 2)) if u != v}
+    graph = LearningGraph(slg_kind(), np.zeros((n, 3)), [(u, v, "pre") for u, v in sorted(pairs)])
+    lp = nn_model._plan(pack_graphs([graph]), width).labels["pre"]
+    dst, src = graph.adjacency("pre")
     messages = np.round(rng.standard_normal((n, width)), 1)   # many exact ties
-    counts = np.bincount(dst, minlength=n)
-    agg, cache = nn_model._aggregate(messages, dst, src, n, aggregator, counts)
-    ref_agg, ref_cache = ref_aggregate(messages, dst, src, n, aggregator, counts)
+    agg = nn_model._aggregate(messages, lp, aggregator)
+    ref_agg = reference_aggregate(messages, dst, src, aggregator)
     assert np.array_equal(agg, ref_agg)
     dout = rng.standard_normal((n, width))
     assert np.array_equal(
-        nn_model._aggregate_backward(dout, messages, cache, dst, src, n, aggregator, counts),
-        ref_aggregate_backward(dout, messages, ref_cache, dst, src, n, aggregator, counts))
+        nn_model._aggregate_backward(dout, messages, agg, lp, aggregator),
+        reference_aggregate_backward(dout, messages, ref_agg, dst, src, aggregator))

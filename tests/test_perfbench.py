@@ -2,7 +2,12 @@
 oracle and model-heuristic code run one round each and pass their own checks
 (finite losses over the set epochs, valid plans, solved searches, blind and
 hff counters equal to perfbench/pinned.json on seed 0, every theory verdict
-passing)."""
+passing). The workloads that run the model also print the digest of their
+round-0 outputs (loss traces, search counters, verdicts) on seed 0, which
+must equal the value below: these have not changed since the benchmark was
+added, and pin the model path's float results byte for byte. They were
+measured with numpy 2.4's bundled OpenBLAS 0.3.31 (Haswell kernels) on one
+BLAS thread; another BLAS build may round differently."""
 
 import subprocess
 import sys
@@ -12,6 +17,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+ROUND0_DIGESTS = {
+    "search-model-slg": "57d9e7e2ee9c2b65",
+    "search-model-llg": "57d9e7e2ee9c2b65",
+    "train-slg": "392f2d687d1153ef",
+    "train-llg": "fd3d387f8a296678",
+    "train-slg-max": "1f9fbe974ce7ae50",
+    "theory": "135442ac8be90fdd",
+}
+
 
 def _round_passes_its_checks(workload):
     done = subprocess.run(
@@ -20,6 +34,8 @@ def _round_passes_its_checks(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert '"correct": true' in done.stdout.splitlines()[-1]
+    if workload in ROUND0_DIGESTS:
+        assert f"# round-0 digest {ROUND0_DIGESTS[workload]}" in done.stdout.splitlines()
 
 
 def test_search_oracle_hff_round_passes_its_checks():
@@ -27,6 +43,7 @@ def test_search_oracle_hff_round_passes_its_checks():
 
 
 @pytest.mark.parametrize("workload", ["search-oracle-blind", "theory", "search-model-slg",
-                                      "search-model-llg", "train-slg", "train-llg"])
+                                      "search-model-llg", "train-slg", "train-llg",
+                                      "train-slg-max"])
 def test_round_passes_its_checks(workload):
     _round_passes_its_checks(workload)
