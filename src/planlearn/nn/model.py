@@ -138,11 +138,6 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
                 f"mixed graph kinds in batch: {g.kind} vs {kind}")
         if g.num_nodes == 0:
             raise ValueError("cannot evaluate a graph with no nodes")
-    if len(graphs) == 1:
-        g = graphs[0]
-        adjacency = {lab: g.adjacency(lab) for lab in kind.labels}
-        return PackedBatch(kind, g.features, adjacency, np.zeros(g.num_nodes, dtype=np.int64),
-                           1, np.array([g.num_nodes], dtype=np.int64), g._plans)
     features = np.concatenate([g.features for g in graphs], axis=0)
     counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
@@ -160,7 +155,8 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
         else:
             empty = np.zeros(0, dtype=np.int64)
             adjacency[lab] = (empty, empty)
-    return PackedBatch(kind, features, adjacency, segments, len(graphs), counts)
+    return PackedBatch(kind, features, adjacency, segments, len(graphs), counts,
+                       graphs[0]._plans if len(graphs) == 1 else None)
 
 
 # ── aggregation plans ─────────────────────────────────────────────────────

@@ -6,9 +6,11 @@ passing). The workloads that run the model also print the digest of their
 round-0 outputs (loss traces, search counters, verdicts) on seed 0, which
 must equal the value below: these have not changed since the benchmark was
 added, and pin the model path's float results byte for byte. They were
-measured with numpy 2.4's bundled OpenBLAS 0.3.31 (Haswell kernels) on one
-BLAS thread; another BLAS build may round differently."""
+measured with the numpy and BLAS build in DIGEST_ENVIRONMENT (OpenBLAS
+running its Haswell kernels) on one BLAS thread; another BLAS build may round
+differently, and a mismatch says which of the two it is."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,11 @@ ROUND0_DIGESTS = {
     "theory": "135442ac8be90fdd",
 }
 
+# The build the digests were measured with, as perfbench/run.py reports it
+# on its "# environment" line.
+DIGEST_ENVIRONMENT = {"numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0",
+                      "OPENBLAS_NUM_THREADS": "1"}
+
 
 def _round_passes_its_checks(workload):
     done = subprocess.run(
@@ -33,9 +40,21 @@ def _round_passes_its_checks(workload):
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
-    assert '"correct": true' in done.stdout.splitlines()[-1]
+    lines = done.stdout.splitlines()
+    assert '"correct": true' in lines[-1]
     if workload in ROUND0_DIGESTS:
-        assert f"# round-0 digest {ROUND0_DIGESTS[workload]}" in done.stdout.splitlines()
+        assert f"# round-0 digest {ROUND0_DIGESTS[workload]}" in lines, _digest_mismatch(lines)
+
+
+def _digest_mismatch(lines):
+    prefix = "# environment "
+    env = json.loads(next(line for line in lines if line.startswith(prefix))[len(prefix):])
+    differs = {key: env.get(key) for key, want in DIGEST_ENVIRONMENT.items()
+               if env.get(key) != want}
+    if differs:
+        return (f"different numpy/BLAS build: the digests assume {DIGEST_ENVIRONMENT}, "
+                f"this run has {differs}")
+    return "same numpy/BLAS build as the digests assume: the model path's float results changed"
 
 
 def test_search_oracle_hff_round_passes_its_checks():
