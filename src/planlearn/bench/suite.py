@@ -9,14 +9,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BudgetExceeded, InvalidSize
-from ..graphs.builders import state_graphs
+from ..graphs.builders import encoded_task, state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import optimal_plan
 from ..heuristics.labels import label_dataset
 from ..nn.train import LabeledGraphSample
 from ..seeding import derive_seed
 from ..task.ground import ground
-from ..task.model import LiftedTask, binary_fdr_view
+from ..task.model import LiftedTask
 from ..task.pddl import parse_pddl
 from .domains import DOMAIN_TEXT, GENERATORS
 
@@ -137,14 +137,14 @@ def build_training_set(instances: list[Instance], graph_kind: str,
                        state_cap: int = 200_000) -> list[LabeledGraphSample]:
     """Solve each instance optimally, label the visited states, and encode
     them as graphs of the requested kind with the builder `state_graphs`
-    binds once per instance (finite-domain graphs read the binary view of
-    the ground task). Instances whose optimal search exceeds the state
-    budget are skipped with a warning."""
+    binds once per instance to the task `encoded_task` picks. Instances
+    whose optimal search exceeds the state budget are skipped with a
+    warning."""
     encoder = IndexEncoder(index_dim, seed=encoder_seed)
     samples: list[LabeledGraphSample] = []
     for inst in instances:
         strips, gmap = ground(inst.task)
-        task = binary_fdr_view(strips) if graph_kind == "flg" else strips
+        task = encoded_task(graph_kind, strips)
         graph_of = state_graphs(graph_kind, task, inst.task, gmap, encoder)
         try:
             plan = optimal_plan(strips, state_cap=state_cap)

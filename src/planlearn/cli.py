@@ -18,22 +18,23 @@ from pathlib import Path
 
 from . import __version__
 from .bench import SuiteSpec, build_training_set, default_suite, generate, load_suite, write_suite
+from .bench.domains import GENERATORS
 from .errors import PlanlearnError
 from .expressiveness import run_theory_checks
-from .graphs import IndexEncoder, graph_to_dot, graph_to_json, state_graphs
+from .graphs import IndexEncoder, encoded_task, graph_to_dot, graph_to_json, state_graphs
 from .nn import TrainConfig, load_model, save_model, train
+from .nn.model import AGGREGATORS, READOUTS
 from .search import (
     ConstantHeuristic,
     ModelHeuristic,
     OracleHeuristic,
     SearchConfig,
-    blind,
     format_plan,
     gbfs,
     run_experiment,
 )
 from .search.heuristics import ORACLES
-from .task import binary_fdr_view, dump_strips, ground, parse_pddl, parse_sas, strips_view
+from .task import dump_strips, ground, parse_pddl, parse_sas, strips_view
 
 
 class UsageError(Exception):
@@ -94,21 +95,13 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _encoded_task(kind: str, strips, fdr):
-    """The task an encoding reads: finite-domain graphs read the SAS task, or
-    the binary view of a PDDL one; the others read the propositional task."""
-    if kind != "flg":
-        return strips
-    return fdr if fdr is not None else binary_fdr_view(strips)
-
-
 def cmd_graph(args) -> int:
     index_dim = _index_dim(args)
     strips, gmap, lifted, fdr = _load_tasks(args)
     if args.kind == "llg" and lifted is None:
         raise UsageError("the lifted encoding needs --domain/--problem input")
     encoder = IndexEncoder(index_dim, seed=args.seed) if args.kind == "llg" else None
-    task = _encoded_task(args.kind, strips, fdr)
+    task = encoded_task(args.kind, strips, fdr)
     graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
     out = _out_dir(args)
     _write_run_json(args, out)
@@ -157,21 +150,17 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _search_setup(args, strips, gmap, lifted, fdr):
-    """Returns (search task, heuristic or None for blind). The search task
-    matches what the heuristic evaluates: finite-domain models search the
-    finite-domain task, everything else the propositional one."""
-    name = args.heuristic
+def _heuristic(name: str, model, strips, gmap, lifted, fdr=None):
+    """(search task, heuristic) for "blind", an ORACLES name or "model" with its
+    loaded model. The search task is the task the heuristic reads, which for
+    finite-domain models is the finite-domain one (see `encoded_task`)."""
     if name == "blind":
-        return strips, None
-    if name != "model":
+        return strips, ConstantHeuristic(0.0)
+    if name in ORACLES:
         return strips, OracleHeuristic(strips, name)
-    if not args.model:
-        raise UsageError("--heuristic model needs --model FILE")
-    model = load_model(args.model)
     if model.kind.name == "llg" and lifted is None:
         raise UsageError("lifted-encoding models need --domain/--problem input")
-    task = _encoded_task(model.kind.name, strips, fdr)
+    task = encoded_task(model.kind.name, strips, fdr)
     return task, ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
 
 
@@ -179,9 +168,11 @@ def cmd_solve(args) -> int:
     strips, gmap, lifted, fdr = _load_tasks(args)
     config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap,
                           eval_batch=args.eval_batch)
-    search_task, heuristic = _search_setup(args, strips, gmap, lifted, fdr)
-    result = blind(search_task, config) if heuristic is None \
-        else gbfs(search_task, heuristic, config)
+    if args.heuristic == "model" and not args.model:
+        raise UsageError("--heuristic model needs --model FILE")
+    model = load_model(args.model) if args.heuristic == "model" else None
+    search_task, heuristic = _heuristic(args.heuristic, model, strips, gmap, lifted, fdr)
+    result = gbfs(search_task, heuristic, config)
     out = _out_dir(args)
     _write_run_json(args, out)
     (out / "result.json").write_text(
@@ -234,7 +225,27 @@ def cmd_theory(args) -> int:
     return 1 if failed else 0
 
 
+def _experiment_heuristics(text: str) -> list[tuple[str, str, object]]:
+    """(row label, heuristic name, model or None) per --heuristics spec."""
+    heuristics = []
+    for spec in (spec.strip() for spec in text.split(",")):
+        name, _, path = spec.partition(":")
+        if spec in ("blind", *ORACLES):
+            heuristics.append((spec, spec, None))
+            continue
+        if name != "model" or not path:
+            raise UsageError(f"unknown --heuristics spec {spec!r}; use blind, "
+                             f"{', '.join(ORACLES)} or model:PATH")
+        model = load_model(path)
+        if model.kind.name == "flg":
+            raise UsageError("experiment sweeps run on the propositional view; "
+                             "solve finite-domain models with the solve subcommand")
+        heuristics.append((f"model-{model.kind.name}", "model", model))
+    return heuristics
+
+
 def cmd_experiment(args) -> int:
+    heuristics = _experiment_heuristics(args.heuristics)
     suite = load_suite(args.suite)
     instances = suite.split(args.split)
     if not instances:
@@ -246,25 +257,9 @@ def cmd_experiment(args) -> int:
         grounding[id(strips)] = (gmap, inst.task)
         tasks.append((inst.name, strips))
 
-    factories = []
-    for spec in args.heuristics.split(","):
-        spec = spec.strip()
-        if spec == "blind":
-            factories.append(("blind", lambda task: ConstantHeuristic(0.0)))
-        elif spec.startswith("model:"):
-            model = load_model(spec.split(":", 1)[1])
-            if model.kind.name == "flg":
-                raise UsageError("experiment sweeps run on the propositional view; "
-                                 "solve finite-domain models with the solve subcommand")
-
-            def factory(task, model=model):
-                gmap, lifted = grounding[id(task)]
-                return ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
-
-            factories.append((f"model-{model.kind.name}", factory))
-        else:
-            factories.append((spec, lambda task, w=spec: OracleHeuristic(task, w)))
-
+    factories = [(label, lambda task, name=name, model=model:
+                  _heuristic(name, model, task, *grounding[id(task)])[1])
+                 for label, name, model in heuristics]
     config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap,
                           eval_batch=args.eval_batch)
     table = run_experiment(tasks, factories, config, jobs=args.jobs)
@@ -307,8 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
 
     p = add("gen", cmd_gen, "generate a benchmark suite")
-    p.add_argument("--domain", required=True,
-                   choices=("gripper", "blocksworld", "visitall", "spanner"))
+    p.add_argument("--domain", required=True, choices=tuple(GENERATORS))
     p.add_argument("--train"), p.add_argument("--validate"), p.add_argument("--test")
     p.add_argument("--out-dir", required=True)
 
@@ -318,15 +312,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index-dim", type=int, default=4)
     p.add_argument("--layers", type=int, default=8)
     p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--aggregator", choices=("mean", "max", "sum"), default="mean")
-    p.add_argument("--readout", choices=("sum", "mean", "max"), default="sum")
+    p.add_argument("--aggregator", choices=AGGREGATORS, default="mean")
+    p.add_argument("--readout", choices=READOUTS, default="sum")
     p.add_argument("--max-epochs", type=int, default=10_000)
     p.add_argument("--out-dir", required=True)
 
     p = add("solve", cmd_solve, "search for a plan")
     p.add_argument("--domain"), p.add_argument("--problem"), p.add_argument("--sas")
-    p.add_argument("--heuristic", default="blind",
-                   choices=("blind", "hmax", "hadd", "hff", "hplus", "hstar", "model"))
+    p.add_argument("--heuristic", default="blind", choices=("blind", *ORACLES, "model"))
     p.add_argument("--model")
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--node-cap", type=int, default=10**6)
@@ -335,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("oracle", cmd_oracle, "print exact heuristic values as JSON")
     p.add_argument("--domain"), p.add_argument("--problem"), p.add_argument("--sas")
-    p.add_argument("--heuristic", required=True,
-                   choices=tuple(ORACLES))
+    p.add_argument("--heuristic", required=True, choices=tuple(ORACLES))
     p.add_argument("--out-dir", help="also record run.json and oracle.json here")
 
     p = add("theory", cmd_theory, "run all expressiveness checks")
@@ -348,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True)
     p.add_argument("--split", default="test", choices=("train", "validate", "test"))
     p.add_argument("--heuristics", default="blind,hff",
-                   help="comma list: blind, hmax, hadd, hff, hplus, hstar, model:PATH")
+                   help=f"comma list: blind, {', '.join(ORACLES)}, model:PATH")
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--node-cap", type=int, default=10**6)
     p.add_argument("--eval-batch", type=int, default=64)

@@ -12,14 +12,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..graphs.builders import build_flg, build_llg, build_slg
+from ..graphs.builders import build_flg, build_llg, build_slg, encoded_task
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import h_plus, h_star
-from ..heuristics.relaxation import h_dp
+from ..heuristics.relaxation import h_add, h_dp, h_max
 from ..nn.model import forward, init_model
 from ..seeding import derive_seed
 from ..task.ground import ground
-from ..task.model import as_lifted, binary_fdr_view, strips_state_atoms
+from ..task.model import as_lifted, strips_state_atoms
 from .pairs import (
     delete_relaxation_gap_task,
     grounded_twin_pair,
@@ -52,7 +52,7 @@ class Verdict:
 def _views(task, seed: int) -> dict:
     """The three encodings of a propositional task at its initial state."""
     encoder = IndexEncoder(4, seed=derive_seed(seed, "theory-pe"))
-    fdr = binary_fdr_view(task)
+    fdr = encoded_task("flg", task)
     lifted = as_lifted(task)
     return {
         "slg": build_slg(task, task.init),
@@ -73,7 +73,7 @@ def model_gap(g1, g2, models: int, seed: int, layer_count: int = 4,
 
 
 def _value(task, fn):
-    v = fn(task)
+    v = fn(task, task.init)
     return "inf" if v.infinite else v.value
 
 
@@ -111,10 +111,8 @@ def check_lifted_twins(seed: int, models: int = 100) -> Verdict:
     g1, _ = ground(t1, prune_statics=False)
     g2, _ = ground(t2, prune_statics=False)
     vals = {
-        "h_max": [_value(g1, lambda t: h_dp(t, t.init, "max")),
-                  _value(g2, lambda t: h_dp(t, t.init, "max"))],
-        "h_add": [_value(g1, lambda t: h_dp(t, t.init, "add")),
-                  _value(g2, lambda t: h_dp(t, t.init, "add"))],
+        "h_max": [_value(g1, h_max), _value(g2, h_max)],
+        "h_add": [_value(g1, h_add), _value(g2, h_add)],
         "ground_actions": [len(g1.actions), len(g2.actions)],
     }
     encoder = IndexEncoder(4, seed=derive_seed(seed, "theory-pe"))

@@ -18,7 +18,7 @@ from collections.abc import Callable
 import numpy as np
 
 from ..task.ground import GroundingMap, ground_state_atoms
-from ..task.model import Atom, FdrTask, LiftedTask, StripsTask
+from ..task.model import Atom, FdrTask, LiftedTask, StripsTask, binary_fdr_view
 from .core import GraphKind, LearningGraph, flg_kind, llg_kind, slg_kind
 from .encoder import IndexEncoder
 
@@ -94,6 +94,14 @@ def flg_graphs(task: FdrTask) -> Callable[[tuple[int, ...]], LearningGraph]:
         return template.with_features(rows)
 
     return graph
+
+
+def encoded_task(kind: str, strips: StripsTask, fdr: FdrTask | None = None):
+    """The task an encoding reads: flg reads the SAS task, or else the binary
+    view of the propositional one; every other encoding reads `strips`."""
+    if kind != "flg":
+        return strips
+    return fdr if fdr is not None else binary_fdr_view(strips)
 
 
 def state_graphs(kind: str, task, lifted: LiftedTask | None = None,

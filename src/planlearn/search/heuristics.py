@@ -20,7 +20,7 @@ from ..errors import NonFiniteEstimate
 from ..graphs.builders import state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import h_plus, h_star
-from ..heuristics.relaxation import h_dp, h_ff
+from ..heuristics.relaxation import h_add, h_ff, h_max
 from ..nn.model import MpnnModel, forward_batch
 from ..task.ground import GroundingMap
 from ..task.model import LiftedTask, StripsTask
@@ -34,9 +34,10 @@ class ConstantHeuristic:
         return [self.value] * len(states)
 
 
+# Oracle heuristics by name: the one table `solve`, `oracle` and `experiment` read.
 ORACLES = {
-    "hmax": lambda task, s: h_dp(task, s, "max"),
-    "hadd": lambda task, s: h_dp(task, s, "add"),
+    "hmax": h_max,
+    "hadd": h_add,
     "hff": h_ff,
     "hplus": h_plus,
     "hstar": h_star,
