@@ -41,18 +41,27 @@ class UsageError(Exception):
     pass
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
+def _parse_sizes(flag: str, text: str) -> tuple[int, ...]:
     """Accepts '1:10' (inclusive range) or '15,20,25'."""
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError:
+        raise UsageError(f"--{flag} must be a range a:b or a comma list of integers, "
+                         f"got {text!r}") from None
 
 
-def _index_dim(args) -> int:
-    if args.index_dim < 1:
-        raise UsageError(f"--index-dim must be at least 1, got {args.index_dim}")
-    return args.index_dim
+def _check_bounds(args):
+    """Counts below 1 and a timeout not above 0 are usage errors, raised
+    before a subcommand reads any input or writes any file."""
+    for dest in ("index_dim", "eval_batch", "max_epochs", "hidden"):
+        value = getattr(args, dest, 1)
+        if value < 1:
+            raise UsageError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
+    if not getattr(args, "timeout", 1) > 0:
+        raise UsageError(f"--timeout must be above 0, got {args.timeout}")
 
 
 def _read(path: str) -> str:
@@ -96,11 +105,10 @@ def cmd_ground(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    index_dim = _index_dim(args)
     strips, gmap, lifted, fdr = _load_tasks(args)
     if args.kind == "llg" and lifted is None:
         raise UsageError("the lifted encoding needs --domain/--problem input")
-    encoder = IndexEncoder(index_dim, seed=args.seed) if args.kind == "llg" else None
+    encoder = IndexEncoder(args.index_dim, seed=args.seed) if args.kind == "llg" else None
     task = encoded_task(args.kind, strips, fdr)
     graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
     out = _out_dir(args)
@@ -116,9 +124,9 @@ def cmd_gen(args) -> int:
     if args.train or args.validate or args.test:
         if not (args.train and args.test):
             raise UsageError("--train and --test must be given together")
-        spec = SuiteSpec(args.domain, _parse_sizes(args.train),
-                         _parse_sizes(args.validate) if args.validate else (),
-                         _parse_sizes(args.test), args.seed)
+        spec = SuiteSpec(args.domain, _parse_sizes("train", args.train),
+                         _parse_sizes("validate", args.validate) if args.validate else (),
+                         _parse_sizes("test", args.test), args.seed)
     else:
         spec = default_suite(args.domain, args.seed)
     suite = generate(spec)
@@ -130,10 +138,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    index_dim = _index_dim(args)
     suite = load_suite(args.suite)
     samples = build_training_set(suite.split("train"), args.kind,
-                                 encoder_seed=args.seed, index_dim=index_dim)
+                                 encoder_seed=args.seed, index_dim=args.index_dim)
     config = TrainConfig(seed=args.seed, layer_count=args.layers,
                          hidden_dim=args.hidden, aggregator=args.aggregator,
                          readout=args.readout, max_epochs=args.max_epochs)
@@ -358,6 +365,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_bounds(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc} (see docs/cli.md or --help)", file=sys.stderr)

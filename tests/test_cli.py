@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from planlearn.cli import cli_main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,24 +60,50 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert run(["nonsense"]) == 2
 
 
-def test_graph_index_dim_below_one_is_usage_error(tmp_path, capsys):
-    assert run(["graph", "--domain", DOMAIN, "--problem", PROBLEM, "--kind", "llg",
-                "--index-dim", "0", "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: --index-dim must be at least 1") and err.count("\n") == 1
-    assert not (tmp_path / "graph.json").exists()
-
-
-def test_train_index_dim_below_one_is_usage_error(tmp_path, capsys):
-    suite = tmp_path / "suite"
+@pytest.fixture(scope="module")
+def gripper_suite(tmp_path_factory):
+    """manifest.json of the gripper suite with train sizes 1-2 and test size 3."""
+    suite = tmp_path_factory.mktemp("gripper-suite")
     assert run(["gen", "--domain", "gripper", "--train", "1:2", "--test", "3",
                 "--out-dir", str(suite)]) == 0
-    capsys.readouterr()
-    assert run(["train", "--suite", str(suite / "manifest.json"), "--kind", "llg",
-                "--index-dim", "0", "--out-dir", str(tmp_path / "train")]) == 2
+    return suite / "manifest.json"
+
+
+FIXTURE_INPUT = ["--domain", DOMAIN, "--problem", PROBLEM]
+GEN = ["gen", "--domain", "gripper"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["graph", *FIXTURE_INPUT, "--kind", "llg", "--index-dim", "0"],
+     "--index-dim must be at least 1"),
+    (["solve", *FIXTURE_INPUT, "--eval-batch", "0"], "--eval-batch must be at least 1"),
+    (["solve", *FIXTURE_INPUT, "--timeout", "0"], "--timeout must be above 0"),
+    ([*GEN, "--train", "a:b", "--test", "3"], "--train must be a range"),
+    ([*GEN, "--train", "1:2", "--validate", "a:b", "--test", "3"], "--validate must be a range"),
+    ([*GEN, "--train", "1:2", "--test", "a:b"], "--test must be a range"),
+], ids=["graph-index-dim", "solve-eval-batch", "solve-timeout", "gen-train", "gen-validate",
+        "gen-test"])
+def test_usage_error_writes_nothing(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage error: --index-dim must be at least 1") and err.count("\n") == 1
-    assert not (tmp_path / "train" / "model.json").exists()
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--kind", "llg", "--index-dim", "0"], "--index-dim must be at least 1"),
+    (["train", "--kind", "slg", "--max-epochs", "0"], "--max-epochs must be at least 1"),
+    (["train", "--kind", "slg", "--hidden", "0"], "--hidden must be at least 1"),
+    (["experiment", "--eval-batch", "0"], "--eval-batch must be at least 1"),
+    (["experiment", "--heuristics", "blind,bogus"], "unknown --heuristics spec 'bogus'"),
+], ids=["train-index-dim", "train-max-epochs", "train-hidden", "experiment-eval-batch",
+        "experiment-heuristics"])
+def test_suite_usage_error_writes_nothing(tmp_path, capsys, gripper_suite, argv, message):
+    capsys.readouterr()
+    assert run([*argv, "--suite", str(gripper_suite), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_oracle_json(capsys):
@@ -253,3 +281,67 @@ def test_visitall_outputs_do_not_depend_on_hash_seed(tmp_path):
     first, second = outputs
     for rel in first:
         assert first[rel] == second[rel], f"{rel} depends on the hash seed"
+
+
+# results.csv of blind and every oracle on the test split of the 1:2/3 gripper
+# suite, as written before solve and experiment shared one heuristic helper.
+ORACLE_RESULTS_CSV = """\
+task,heuristic,status,plan_cost,expansions,evaluations,generated
+gripper-test-00-s3,blind,solved,9,86,87,272
+gripper-test-00-s3,hmax,solved,9,29,46,92
+gripper-test-00-s3,hadd,solved,11,11,32,41
+gripper-test-00-s3,hff,solved,9,14,34,54
+gripper-test-00-s3,hplus,solved,9,10,26,37
+gripper-test-00-s3,hstar,solved,9,9,26,34
+"""
+
+
+def test_experiment_oracle_results_unchanged(tmp_path, gripper_suite):
+    out = tmp_path / "exp"
+    assert run(["experiment", "--suite", str(gripper_suite),
+                "--heuristics", "blind,hmax,hadd,hff,hplus,hstar", "--out-dir", str(out)]) == 0
+    assert (out / "results.csv").read_text() == ORACLE_RESULTS_CSV
+
+
+# Training seeds whose 2-epoch models steer search away from blind order on
+# the inputs below: the slg seed on the gripper suite's test instance, the
+# flg and llg seed there and, for flg, on the finite-domain fixture too.
+MODEL_SEEDS = {"slg": "2", "flg": "4", "llg": "4"}
+
+# result.json of `solve --heuristic model` with those models, trained on the
+# 1:2/3 gripper suite, as written before solve and experiment shared one
+# heuristic helper.
+MODEL_RESULTS = {
+    "slg": {"status": "solved", "plan": [10, 3, 0, 17, 1, 7, 0, 21, 24], "expansions": 73,
+            "evaluations": 87, "generated": 223, "plan_cost": 9, "peak_open_size": 31},
+    "flg": {"status": "solved", "plan": [3, 0, 17, 1, 11, 0, 25, 1, 7, 0, 21], "expansions": 52,
+            "evaluations": 78, "generated": 170, "plan_cost": 11, "peak_open_size": 31},
+    "llg": {"status": "solved", "plan": [3, 6, 0, 20, 1, 10, 0, 17, 24], "expansions": 57,
+            "evaluations": 77, "generated": 181, "plan_cost": 9, "peak_open_size": 31},
+    "flg-sas": {"status": "solved", "plan": [2, 0, 8], "expansions": 5, "evaluations": 7,
+                "generated": 10, "plan_cost": 3, "peak_open_size": 3},
+}
+
+
+def test_solve_with_trained_models(tmp_path, capsys, gripper_suite):
+    """The model branch of solve: each encoding on PDDL input, flg on SAS
+    input (which it must read as the SAS task, not its binary view), and llg
+    on SAS input refused."""
+    root = gripper_suite.parent
+    pddl = ["--domain", str(root / "domain.pddl"), "--problem", str(root / "test" / "p00.pddl")]
+    sas = ["--sas", str(FIXTURES / "gripper-b1.sas")]
+    for kind, seed in MODEL_SEEDS.items():
+        assert run(["train", "--suite", str(gripper_suite), "--kind", kind, "--max-epochs", "2",
+                    "--seed", seed, "--out-dir", str(tmp_path / kind)]) == 0
+    for name, kind, task in (("slg", "slg", pddl), ("flg", "flg", pddl), ("llg", "llg", pddl),
+                             ("flg-sas", "flg", sas)):
+        out = tmp_path / f"solve-{name}"
+        assert run(["solve", *task, "--heuristic", "model",
+                    "--model", str(tmp_path / kind / "model.json"), "--out-dir", str(out)]) == 0
+        expected = json.dumps(MODEL_RESULTS[name], indent=1) + "\n"
+        assert (out / "result.json").read_text() == expected, name
+    capsys.readouterr()
+    assert run(["solve", *sas, "--heuristic", "model",
+                "--model", str(tmp_path / "llg" / "model.json"),
+                "--out-dir", str(tmp_path / "solve-llg-sas")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: lifted-encoding models need")
