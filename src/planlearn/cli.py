@@ -56,7 +56,8 @@ def _parse_sizes(flag: str, text: str) -> tuple[int, ...]:
 def _check_bounds(args):
     """Counts below 1 and a timeout not above 0 are usage errors, raised
     before a subcommand reads any input or writes any file."""
-    for dest in ("index_dim", "eval_batch", "max_epochs", "hidden"):
+    for dest in ("index_dim", "eval_batch", "max_epochs", "hidden", "layers", "node_cap",
+                 "jobs", "models"):
         value = getattr(args, dest, 1)
         if value < 1:
             raise UsageError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")

@@ -23,6 +23,14 @@ measured on 16-graph slg training batches. The operation order is otherwise
 that of the plain formulation above: messages are W_label h, gathered per
 edge and then summed, never reassociated as W_label (A h).
 
+A forward with `need_cache` keeps, per layer, the layer input and its ReLU
+mask and, per label, what that label's aggregation backward reads: for max,
+the (E, F) bool mask of the edges whose gathered message equals their
+destination's max (the attain mask, ties included); for sum and mean,
+nothing. The max backward therefore neither recomputes the messages
+W_label h nor keeps the (N, F) float64 aggregate. A forward without a
+cache computes no mask.
+
 The flat indices depend only on a batch's topology and the hidden width F,
 so they live in an aggregation plan (`_Plan`) built once per topology and
 width. Per non-empty label a plan holds the flat destination index, the
@@ -229,30 +237,37 @@ def _swap_orientations(values):
     return values.reshape(-1, 2, values.shape[1])[:, ::-1].reshape(values.shape)
 
 
-def _aggregate(messages, lp: _LabelPlan, aggregator):
-    """Aggregate per-edge messages messages[src] into destination rows."""
+def _aggregate(messages, lp: _LabelPlan, aggregator, need_mask=False):
+    """Aggregate per-edge messages messages[src] into destination rows.
+    Returns (out, attain): with `need_mask`, max's attain is the (E, F) bool
+    mask of the edges whose message equals their destination's max; it is
+    None otherwise and for sum and mean."""
     n = messages.shape[0]
     if aggregator == "max":
-        out = _scatter_max(lp.flat, messages[lp.src], n)
+        gathered = messages[lp.src]
+        out = _scatter_max(lp.flat, gathered, n)
+        attain = gathered == out[lp.dst] if need_mask else None
         out[lp.isolated] = 0.0
-        return out
+        return out, attain
     out = _scatter_add(lp.flat, messages[lp.src], n)
     if aggregator == "mean":
         out /= lp.divisor
-    return out
+    return out, None
 
 
-def _aggregate_backward(dout, messages, agg_out, lp: _LabelPlan, aggregator):
-    """Gradient wrt per-node messages, an (n, F) array. Only max reads
-    `messages` and `agg_out`. Scatters into sources through the destination
-    index (see the module docstring)."""
+def _aggregate_backward(dout, attain, lp: _LabelPlan, aggregator):
+    """Gradient wrt per-node messages, an (n, F) array. The backward cache
+    holds, per label and layer, max's (E, F) bool attain mask from
+    `_aggregate` and nothing for sum and mean, which read only `dout`.
+    Scatters into sources through the destination index (see the module
+    docstring)."""
     n = dout.shape[0]
     if aggregator == "sum":
         return _scatter_add(lp.flat, dout[lp.src], n)
     if aggregator == "mean":
         return _scatter_add(lp.flat, (dout / lp.divisor)[lp.src], n)
     # max: route to attaining edges, splitting equally among ties
-    attain = (messages[lp.src] == agg_out[lp.dst]).astype(np.float64)
+    attain = attain.astype(np.float64)
     tie_count = np.maximum(_scatter_add(lp.flat, attain, n), 1.0)
     attain /= tie_count[lp.dst]     # in place: E*F temporaries set peak memory
     attain *= dout[lp.dst]
@@ -297,15 +312,15 @@ def forward_packed(model: MpnnModel, batch: PackedBatch, need_cache: bool = Fals
     layer_cache = []
     for t in range(model.layer_count):
         z = h @ p[f"layer{t}.self"].T + p[f"layer{t}.bias"]
-        agg_cache = {}
+        attains = {}
         for lab, lp in plan.labels.items():
-            agg = _aggregate(h @ p[f"layer{t}.label.{lab}"].T, lp, model.aggregator)
+            agg, attains[lab] = _aggregate(h @ p[f"layer{t}.label.{lab}"].T, lp,
+                                           model.aggregator, need_cache)
             z += agg
-            agg_cache[lab] = agg if model.aggregator == "max" else None
         mask = z > 0
         new_h = np.where(mask, z, 0.0)
         if need_cache:
-            layer_cache.append((h, mask, agg_cache))
+            layer_cache.append((h, mask, attains))
         h = new_h
 
     g, readout_max = _segment_reduce(h, plan, batch, model.readout)
@@ -338,15 +353,14 @@ def backward_packed(model: MpnnModel, batch: PackedBatch, cache, dout: np.ndarra
                                   plan, batch, model.readout)
 
     for t in reversed(range(model.layer_count)):
-        h_in, mask, agg_cache = cache["layers"][t]
+        h_in, mask, attains = cache["layers"][t]
         dz = np.where(mask, dh, 0.0)
         grads[f"layer{t}.bias"][:] = dz.sum(axis=0)
         grads[f"layer{t}.self"][:] = dz.T @ h_in
         dh = dz @ p[f"layer{t}.self"]
         for lab, lp in plan.labels.items():
             w = p[f"layer{t}.label.{lab}"]
-            messages = h_in @ w.T if model.aggregator == "max" else None
-            dM = _aggregate_backward(dz, messages, agg_cache[lab], lp, model.aggregator)
+            dM = _aggregate_backward(dz, attains[lab], lp, model.aggregator)
             grads[f"layer{t}.label.{lab}"][:] = dM.T @ h_in
             dh += dM @ w
 

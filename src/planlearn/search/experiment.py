@@ -3,6 +3,10 @@
 Rows come out in input order regardless of worker count, so outputs are
 byte-identical for any --jobs value. Wall times live in a separate timings
 table; the primary CSV carries only deterministic columns.
+
+`jobs` workers are threads of one process. gbfs and the oracles are
+Python-bound and hold the interpreter lock, so more than one job gives no
+speed-up (docs/cli.md has a measurement).
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ Open list is a binary heap keyed (h, insertion sequence): ties resolve
 first-in-first-out, so with a zero heuristic the search degenerates to
 breadth-first and returns optimal plans under unit costs. Duplicate states
 are detected against everything already evaluated; re-opening is disabled.
+One table, the parent of each stored state, serves as the duplicate check
+and the node count. Only fresh states are pushed, so a state enters the
+open list at most once and needs no closed set.
 States are the task's search states (packed ints for STRIPS), and so are the
 states handed to the heuristic. Every returned plan is validated before the
 result is handed back.
@@ -28,7 +31,7 @@ from .heuristics import ConstantHeuristic
 @dataclass(frozen=True)
 class SearchConfig:
     timeout_s: float = 300.0
-    node_cap: int = 10**6       # soft memory cap: states stored, open + closed
+    node_cap: int = 10**6       # soft memory cap: states stored, pruned ones too
     eval_batch: int = 64        # max successor states evaluated per call
     # tie break is always FIFO
 
@@ -82,7 +85,6 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
     if task.is_goal(root):
         return result("solved", [])
 
-    seen = {root}
     parents = {root: None}
     open_heap = []
     seq = 0
@@ -102,25 +104,20 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
         peak_open = max(peak_open, len(open_heap))
 
     push_evaluated([root])
-    closed = set()
     while open_heap:
         if time.perf_counter() > deadline:
             return result("timeout")
-        if len(seen) > config.node_cap:
+        if len(parents) > config.node_cap:
             return result("node_cap")
         _, _, state = heapq.heappop(open_heap)
-        if state in closed:
-            continue
         if task.is_goal(state):
             return result("solved", plan_from_parents(parents, state))
-        closed.add(state)
         expansions += 1
         fresh = []
         for aid, nxt in successors(task, state):
             generated += 1
-            if nxt in seen:
+            if nxt in parents:
                 continue
-            seen.add(nxt)
             parents[nxt] = (state, aid)
             fresh.append(nxt)
         push_evaluated(fresh)

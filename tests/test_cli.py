@@ -78,11 +78,13 @@ GEN = ["gen", "--domain", "gripper"]
      "--index-dim must be at least 1"),
     (["solve", *FIXTURE_INPUT, "--eval-batch", "0"], "--eval-batch must be at least 1"),
     (["solve", *FIXTURE_INPUT, "--timeout", "0"], "--timeout must be above 0"),
+    (["solve", *FIXTURE_INPUT, "--node-cap", "0"], "--node-cap must be at least 1"),
+    (["theory", "--models", "0"], "--models must be at least 1"),
     ([*GEN, "--train", "a:b", "--test", "3"], "--train must be a range"),
     ([*GEN, "--train", "1:2", "--validate", "a:b", "--test", "3"], "--validate must be a range"),
     ([*GEN, "--train", "1:2", "--test", "a:b"], "--test must be a range"),
-], ids=["graph-index-dim", "solve-eval-batch", "solve-timeout", "gen-train", "gen-validate",
-        "gen-test"])
+], ids=["graph-index-dim", "solve-eval-batch", "solve-timeout", "solve-node-cap",
+        "theory-models", "gen-train", "gen-validate", "gen-test"])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, message):
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
@@ -94,9 +96,13 @@ def test_usage_error_writes_nothing(tmp_path, capsys, argv, message):
     (["train", "--kind", "llg", "--index-dim", "0"], "--index-dim must be at least 1"),
     (["train", "--kind", "slg", "--max-epochs", "0"], "--max-epochs must be at least 1"),
     (["train", "--kind", "slg", "--hidden", "0"], "--hidden must be at least 1"),
+    (["train", "--kind", "slg", "--layers", "0"], "--layers must be at least 1"),
     (["experiment", "--eval-batch", "0"], "--eval-batch must be at least 1"),
+    (["experiment", "--node-cap", "0"], "--node-cap must be at least 1"),
+    (["experiment", "--jobs", "0"], "--jobs must be at least 1"),
     (["experiment", "--heuristics", "blind,bogus"], "unknown --heuristics spec 'bogus'"),
-], ids=["train-index-dim", "train-max-epochs", "train-hidden", "experiment-eval-batch",
+], ids=["train-index-dim", "train-max-epochs", "train-hidden", "train-layers",
+        "experiment-eval-batch", "experiment-node-cap", "experiment-jobs",
         "experiment-heuristics"])
 def test_suite_usage_error_writes_nothing(tmp_path, capsys, gripper_suite, argv, message):
     capsys.readouterr()

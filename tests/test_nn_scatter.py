@@ -117,10 +117,50 @@ def test_primitives_match_reference_on_random_edges(aggregator):
     lp = nn_model._plan(pack_graphs([graph]), width).labels["pre"]
     dst, src = graph.adjacency("pre")
     messages = np.round(rng.standard_normal((n, width)), 1)   # many exact ties
-    agg = nn_model._aggregate(messages, lp, aggregator)
+    agg, attain = nn_model._aggregate(messages, lp, aggregator, need_mask=True)
     ref_agg = reference_aggregate(messages, dst, src, aggregator)
     assert np.array_equal(agg, ref_agg)
+    no_mask_agg, no_mask = nn_model._aggregate(messages, lp, aggregator)
+    assert np.array_equal(no_mask_agg, agg) and no_mask is None
+    assert (attain is None) == (aggregator != "max")
     dout = rng.standard_normal((n, width))
     assert np.array_equal(
-        nn_model._aggregate_backward(dout, messages, agg, lp, aggregator),
+        nn_model._aggregate_backward(dout, attain, lp, aggregator),
         reference_aggregate_backward(dout, messages, ref_agg, dst, src, aggregator))
+
+
+def max_batches(graph_lists):
+    """The tie graph alone and, per kind, a several-graph batch."""
+    return [[tie_graph()]] + list(graph_lists.values())
+
+
+@pytest.mark.parametrize("readout", ["sum", "max"])
+def test_max_forward_same_with_and_without_cache(graph_lists, readout):
+    for graphs in max_batches(graph_lists):
+        model = init_model(graphs[0].kind, layer_count=3, hidden_dim=8, aggregator="max",
+                           readout=readout, seed=7)
+        batch = pack_graphs(graphs)
+        out, no_cache = forward_packed(model, batch)
+        cached_out, _ = forward_packed(model, batch, need_cache=True)
+        assert no_cache is None
+        assert np.array_equal(out, cached_out)
+
+
+@pytest.mark.parametrize("aggregator", ["mean", "max", "sum"])
+def test_cache_holds_attain_masks_for_max_only(graph_lists, aggregator):
+    for graphs in max_batches(graph_lists):
+        model = init_model(graphs[0].kind, layer_count=3, hidden_dim=8,
+                           aggregator=aggregator, readout="sum", seed=7)
+        _, cache = forward_packed(model, pack_graphs(graphs), need_cache=True)
+        plan = cache["plan"]
+        for t, (h_in, _, attains) in enumerate(cache["layers"]):
+            assert list(attains) == list(plan.labels)
+            for lab, lp in plan.labels.items():
+                if aggregator != "max":
+                    assert attains[lab] is None
+                    continue
+                messages = h_in @ model.params[f"layer{t}.label.{lab}"].T
+                ref_agg = reference_aggregate(messages, lp.dst, lp.src, "max")
+                assert attains[lab].dtype == np.bool_
+                assert attains[lab].shape == (len(lp.dst), model.hidden_dim)
+                assert np.array_equal(attains[lab], messages[lp.src] == ref_agg[lp.dst])

@@ -268,15 +268,46 @@ def assert_same_search(got, expected):
         assert getattr(got, field) == getattr(expected, field), field
 
 
+class PruningHeuristic:
+    """inf on every non-initial state whose fact ids sum to a multiple of 3,
+    that sum mod 4 elsewhere. `decode` maps a search state to its facts, so
+    packed and frozenset searches see the same values. Pruned states are
+    stored by gbfs but never pushed."""
+
+    def __init__(self, task, decode):
+        self.task, self.decode, self.pruned = task, decode, 0
+
+    def evaluate_batch(self, states):
+        values = []
+        for state in states:
+            facts = self.decode(state)
+            total = sum(facts)
+            if total % 3 == 0 and facts != self.task.init:
+                self.pruned += 1
+                values.append(math.inf)
+            else:
+                values.append(float(total % 4))
+        return values
+
+
 def test_gbfs_matches_reference(fixture_tasks):
+    statuses, pruned = set(), 0
+    configs = (None, SearchConfig(eval_batch=3), *(SearchConfig(node_cap=c) for c in (2, 5, 17)))
     for name, task in search_tasks(fixture_tasks).items():
-        config = SearchConfig(eval_batch=3)
-        for cfg in (None, config):
-            assert_same_search(gbfs(task, ConstantHeuristic(0.0), cfg),
-                               reference_gbfs(task, ConstantHeuristic(0.0), cfg))
+        decode = task.decode if isinstance(task, StripsTask) else (lambda s: s)
+        for cfg in configs:
+            pruning = PruningHeuristic(task, decode)
+            pairs = [(ConstantHeuristic(0.0), ConstantHeuristic(0.0)),
+                     (pruning, PruningHeuristic(task, lambda s: s))]
             if isinstance(task, StripsTask):
-                assert_same_search(gbfs(task, OracleHeuristic(task, "hff"), cfg),
-                                   reference_gbfs(task, ReferenceHff(task), cfg))
+                pairs.append((OracleHeuristic(task, "hff"), ReferenceHff(task)))
+            for heuristic, reference in pairs:
+                got = gbfs(task, heuristic, cfg)
+                assert_same_search(got, reference_gbfs(task, reference, cfg))
+                statuses.add(got.status)
+            pruned += pruning.pruned
+    assert {"solved", "exhausted", "node_cap"} <= statuses
+    assert pruned > 0
 
 
 @settings(max_examples=60, deadline=None)
