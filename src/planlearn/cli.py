@@ -54,13 +54,13 @@ def _parse_sizes(flag: str, text: str) -> tuple[int, ...]:
 
 
 def _check_bounds(args):
-    """Counts below 1 and a timeout not above 0 are usage errors, raised
-    before a subcommand reads any input or writes any file."""
-    for dest in ("index_dim", "eval_batch", "max_epochs", "hidden", "layers", "node_cap",
-                 "jobs", "models"):
-        value = getattr(args, dest, 1)
-        if value < 1:
-            raise UsageError(f"--{dest.replace('_', '-')} must be at least 1, got {value}")
+    """Counts below their bound and a timeout not above 0 are usage errors,
+    raised before a subcommand reads any input or writes any file."""
+    for dest, bound in (("index_dim", 1), ("max_epochs", 1), ("hidden", 1), ("layers", 1),
+                        ("node_cap", 1), ("models", 1), ("random_tasks", 0)):
+        value = getattr(args, dest, bound)
+        if value < bound:
+            raise UsageError(f"--{dest.replace('_', '-')} must be at least {bound}, got {value}")
     if not getattr(args, "timeout", 1) > 0:
         raise UsageError(f"--timeout must be above 0, got {args.timeout}")
 
@@ -174,8 +174,7 @@ def _heuristic(name: str, model, strips, gmap, lifted, fdr=None):
 
 def cmd_solve(args) -> int:
     strips, gmap, lifted, fdr = _load_tasks(args)
-    config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap,
-                          eval_batch=args.eval_batch)
+    config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap)
     if args.heuristic == "model" and not args.model:
         raise UsageError("--heuristic model needs --model FILE")
     model = load_model(args.model) if args.heuristic == "model" else None
@@ -268,9 +267,8 @@ def cmd_experiment(args) -> int:
     factories = [(label, lambda task, name=name, model=model:
                   _heuristic(name, model, task, *grounding[id(task)])[1])
                  for label, name, model in heuristics]
-    config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap,
-                          eval_batch=args.eval_batch)
-    table = run_experiment(tasks, factories, config, jobs=args.jobs)
+    config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap)
+    table = run_experiment(tasks, factories, config)
     out = _out_dir(args)
     _write_run_json(args, out)
     (out / "results.csv").write_text(table.to_csv())
@@ -331,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--node-cap", type=int, default=10**6)
-    p.add_argument("--eval-batch", type=int, default=64)
     p.add_argument("--out-dir", required=True)
 
     p = add("oracle", cmd_oracle, "print exact heuristic values as JSON")
@@ -351,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"comma list: blind, {', '.join(ORACLES)}, model:PATH")
     p.add_argument("--timeout", type=float, default=300.0)
     p.add_argument("--node-cap", type=int, default=10**6)
-    p.add_argument("--eval-batch", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out-dir", required=True)
 
     return parser

@@ -38,13 +38,16 @@ mean divisor (in-degree, at least 1) and the rows without in-edges, which
 max sets to zero; it also holds the readout's flat graph index. A graph's
 plans are owned by its edge storage, keyed by F, and shared by every
 `with_features` copy, so a search evaluating one state per call builds one
-plan per slg/flg task and every theory graph one per width. A batch of
-several graphs builds its plan on entry to `forward_packed`, hands it to
-`backward_packed` in the cache, and keeps nothing. A training batch's plan
-serves one forward and one backward, and the hold-out batch's would live
-for the whole run: keeping them on the batch only held memory (peak RSS of
-the `train-slg` benchmark went from 58.6 to 62.3 MB, of `train-llg` from
-71.2 to 75.5 MB, with no faster step).
+plan per slg/flg task and every theory graph one per width. Only training
+packs several graphs: such a batch builds its plan on entry to
+`forward_packed`, hands it to `backward_packed` in the cache, and keeps
+nothing. A training batch's plan serves one forward and one backward, and
+the hold-out batch's would live for the whole run: keeping them on the
+batch only held memory (peak RSS of the `train-slg` benchmark went from
+58.6 to 62.3 MB, of `train-llg` from 71.2 to 75.5 MB, with no faster step).
+Every other estimate is one forward of one graph, because a several-graph
+forward differs from per-graph ones in the last digits (OpenBLAS picks its
+kernel by row count), and search values must not depend on batching.
 
 The backward scatters into sources rather than destinations, and uses the
 destination index for that too. `LearningGraph.adjacency` lists each
@@ -375,8 +378,5 @@ def forward(model: MpnnModel, graph: LearningGraph) -> float:
 
 
 def forward_batch(model: MpnnModel, graphs: list[LearningGraph]) -> np.ndarray:
-    """Pointwise equal to mapping forward over the list."""
-    if not graphs:
-        return np.zeros(0)
-    out, _ = forward_packed(model, pack_graphs(graphs))
-    return out
+    """`forward` mapped over the list: each value depends only on its graph."""
+    return np.array([forward(model, g) for g in graphs], dtype=np.float64)

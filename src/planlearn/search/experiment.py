@@ -1,17 +1,11 @@
 """Experiment harness: a (task x heuristic) sweep with CSV output.
 
-Rows come out in input order regardless of worker count, so outputs are
-byte-identical for any --jobs value. Wall times live in a separate timings
-table; the primary CSV carries only deterministic columns.
-
-`jobs` workers are threads of one process. gbfs and the oracles are
-Python-bound and hold the interpreter lock, so more than one job gives no
-speed-up (docs/cli.md has a measurement).
+Cells run one after another in input order. Wall times live in a separate
+timings table; the primary CSV carries only deterministic columns.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .gbfs import SearchConfig, SearchResult, gbfs
@@ -57,22 +51,11 @@ class ExperimentTable:
         return "\n".join(lines) + "\n"
 
 
-def run_experiment(tasks, heuristic_factories, config: SearchConfig | None = None,
-                   jobs: int = 1) -> ExperimentTable:
+def run_experiment(tasks, heuristic_factories,
+                   config: SearchConfig | None = None) -> ExperimentTable:
     """tasks: list of (name, task); heuristic_factories: list of
     (name, task -> heuristic). Every pair is searched once."""
     config = config or SearchConfig()
-    cells = [(tname, task, hname, factory)
-             for tname, task in tasks
-             for hname, factory in heuristic_factories]
-
-    def run(cell):
-        tname, task, hname, factory = cell
-        return ExperimentRow(tname, hname, gbfs(task, factory(task), config))
-
-    if jobs <= 1:
-        rows = [run(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(run, cells))
-    return ExperimentTable(rows)
+    return ExperimentTable([ExperimentRow(tname, hname, gbfs(task, factory(task), config))
+                            for tname, task in tasks
+                            for hname, factory in heuristic_factories])

@@ -1,4 +1,4 @@
-"""Eager greedy best-first search with batched successor evaluation.
+"""Eager greedy best-first search.
 
 Open list is a binary heap keyed (h, insertion sequence): ties resolve
 first-in-first-out, so with a zero heuristic the search degenerates to
@@ -32,7 +32,7 @@ from .heuristics import ConstantHeuristic
 class SearchConfig:
     timeout_s: float = 300.0
     node_cap: int = 10**6       # soft memory cap: states stored, pruned ones too
-    eval_batch: int = 64        # max successor states evaluated per call
+    eval_batch: int = 64        # max states per evaluate_batch call; changes no estimate
     # tie break is always FIFO
 
     def __post_init__(self):

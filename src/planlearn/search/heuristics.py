@@ -59,7 +59,8 @@ class OracleHeuristic:
 
 
 class ModelHeuristic:
-    """Trained model evaluated on per-state graphs, batched.
+    """Trained model evaluated with one forward per state's graph, so an
+    estimate does not depend on which states share an evaluate_batch call.
 
     The graph function of the model's encoding is bound once per task with
     `state_graphs`, the same builder training uses: slg and flg rewrite the
@@ -80,8 +81,6 @@ class ModelHeuristic:
         self._graph_of = state_graphs(kind.name, task, lifted, gmap, encoder)
 
     def evaluate_batch(self, states):
-        if not states:
-            return []
         decode = self.task.decode
         graphs = [self._graph_of(decode(s)) for s in states]
         out = forward_batch(self.model, graphs)

@@ -1,10 +1,24 @@
 import numpy as np
 import pytest
 
+from planlearn.bench.domains import DOMAIN_TEXT, gripper_problem
 from planlearn.errors import DimensionMismatch
-from planlearn.graphs import LearningGraph, build_slg, flg_kind, llg_kind, slg_kind
-from planlearn.nn import forward, forward_batch, init_model
+from planlearn.expressiveness.pairs import grounded_twin_pair, lifted_twin_pair
+from planlearn.graphs import (
+    IndexEncoder,
+    LearningGraph,
+    build_slg,
+    encoded_task,
+    flg_kind,
+    llg_kind,
+    slg_kind,
+    state_graphs,
+)
+from planlearn.heuristics.exact import reachable_states
+from planlearn.nn import forward, forward_batch, forward_packed, init_model, pack_graphs
+from planlearn.nn.model import AGGREGATORS
 from planlearn.seeding import rng_for
+from planlearn.task import ground, parse_pddl
 
 
 def random_graph(kind, n_nodes, n_edges, seed):
@@ -65,11 +79,16 @@ def test_batch_of_one_equals_forward(gripper_ground):
     assert forward_batch(m, [g])[0] == pytest.approx(forward(m, g), abs=1e-6)
 
 
+def _forward_several(model, graphs):
+    out, _ = forward_packed(model, pack_graphs(graphs))
+    return out
+
+
 def test_batch_identical_graphs(gripper_ground):
     task, _ = gripper_ground
     g = build_slg(task, task.init)
     m = init_model(slg_kind(), layer_count=4, hidden_dim=16, seed=1)
-    out = forward_batch(m, [g] * 5)
+    out = _forward_several(m, [g] * 5)
     assert np.allclose(out, out[0])
 
 
@@ -81,9 +100,9 @@ def test_batch_permutation_equivariant(gripper_ground):
                             if task.apply(s0, a) is not None]
     graphs = [build_slg(task, s) for s in states]
     m = init_model(slg_kind(), layer_count=4, hidden_dim=16, seed=1)
-    base = forward_batch(m, graphs)
+    base = _forward_several(m, graphs)
     perm = list(reversed(range(len(graphs))))
-    out = forward_batch(m, [graphs[i] for i in perm])
+    out = _forward_several(m, [graphs[i] for i in perm])
     assert np.allclose(out, base[perm])
 
 
@@ -97,9 +116,37 @@ def test_batch_pointwise_matches_map(gripper_ground):
     graphs = [build_slg(task, s) for s in sorted(states, key=sorted)]
     for agg in ("mean", "max", "sum"):
         m = init_model(slg_kind(), layer_count=4, hidden_dim=16, aggregator=agg, seed=7)
-        batched = forward_batch(m, graphs)
+        batched = _forward_several(m, graphs)
         single = [forward(m, g) for g in graphs]
         assert np.allclose(batched, single, atol=1e-6)
+
+
+def _state_graph_sets(kind):
+    """Per task, the graphs of its first 16 reachable states: gripper 1-3,
+    and the grounded twins (lifted twins for llg, which needs a lifted task)."""
+    tasks = []
+    for balls in (1, 2, 3):
+        lifted = parse_pddl(DOMAIN_TEXT["gripper"], gripper_problem(balls))
+        tasks.append((*ground(lifted), lifted))
+    if kind == "llg":
+        tasks += [(*ground(lifted), lifted) for lifted in lifted_twin_pair()]
+    else:
+        tasks += [(strips, None, None) for strips in grounded_twin_pair()]
+    for strips, gmap, lifted in tasks:
+        task = encoded_task(kind, strips)
+        graph_of = state_graphs(kind, task, lifted, gmap, IndexEncoder(4, seed=0))
+        yield [graph_of(s) for s in reachable_states(task)[:16]]
+
+
+@pytest.mark.parametrize("kind", [slg_kind(), flg_kind(), llg_kind(4)], ids=lambda k: k.name)
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+def test_forward_batch_equals_forward_per_graph(kind, aggregator):
+    """Search estimates are one forward per state: forward_batch is exactly,
+    not just nearly, the map of forward, whatever the list holds."""
+    m = init_model(kind, layer_count=4, hidden_dim=32, aggregator=aggregator, seed=7)
+    for graphs in _state_graph_sets(kind.name):
+        assert len(graphs) > 1
+        assert np.array_equal(forward_batch(m, graphs), [forward(m, g) for g in graphs])
 
 
 @pytest.mark.parametrize("aggregator", ["mean", "max"])
@@ -129,6 +176,8 @@ def test_mixed_kind_batch_rejected(gripper_ground, gripper_fdr):
     slg = build_slg(task, task.init)
     flg = build_flg(gripper_fdr, gripper_fdr.init)
     m = init_model(slg_kind(), layer_count=2, hidden_dim=4, seed=0)
+    with pytest.raises(DimensionMismatch):
+        pack_graphs([slg, flg])
     with pytest.raises(DimensionMismatch):
         forward_batch(m, [slg, flg])
 

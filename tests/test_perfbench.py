@@ -66,3 +66,26 @@ def test_search_oracle_hff_round_passes_its_checks():
                                       "train-slg-max"])
 def test_round_passes_its_checks(workload):
     _round_passes_its_checks(workload)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the result line")
+
+
+@pytest.mark.parametrize("workload", ["train-slg", "search-model-slg", "search-model-llg"])
+def test_traced_round_reports_every_layer(workload):
+    """A traced run's result is accepted only when it reports every per-layer
+    metric BENCHMARK.json declares; a layer whose function was renamed or
+    removed is printed as unmeasured and its metrics go missing."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    *comments, last = done.stdout.splitlines()
+    assert all(line.startswith("# ") for line in comments), comments
+    assert not [line for line in comments if line.startswith("# unmeasured layer")]
+    result = json.loads(last, parse_constant=_reject_constant)
+    assert result["correct"] is True
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert set(result["metrics"]) == {metric["name"] for metric in declared}

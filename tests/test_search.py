@@ -146,6 +146,38 @@ def test_eval_batch_chunking(gripper_ground):
     assert max(sizes) <= 2
 
 
+@pytest.mark.parametrize("kind, seed", [("slg", 2), ("flg", 4), ("llg", 4)])
+def test_model_search_does_not_depend_on_eval_batch(kind, seed):
+    """A trained model gives the same estimates and the same search, to the
+    plan and every counter, whether its states are evaluated one per call or
+    many. These 2-epoch models on the 1:2/3 gripper suite (the seeds the cli
+    model tests train with) used to change plans with the batch size."""
+    from planlearn.bench import SuiteSpec, build_training_set, generate
+    from planlearn.graphs import encoded_task
+    from planlearn.nn import TrainConfig, train
+    from planlearn.search import ModelHeuristic
+
+    suite = generate(SuiteSpec("gripper", (1, 2), (), (3,), seed=0))
+    model, _ = train(build_training_set(suite.split("train"), kind, encoder_seed=seed),
+                     TrainConfig(seed=seed, max_epochs=2))
+    lifted = suite.split("test")[0].task
+    strips, gmap = ground(lifted)
+    task = encoded_task(kind, strips)
+    heuristic = ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
+
+    states = [initial_state(task)]
+    for state in states:
+        states.extend(nxt for _, nxt in successors(task, state) if nxt not in states)
+        if len(states) >= 64:
+            break
+    assert heuristic.evaluate_batch(states) == [heuristic.evaluate_batch([s])[0]
+                                                for s in states]
+    results = [gbfs(task, heuristic, SearchConfig(eval_batch=n)).to_json_dict()
+               for n in (1, 7, 64)]
+    assert results[0]["status"] == "solved"
+    assert results[1] == results[0] and results[2] == results[0]
+
+
 def test_model_heuristic_paths_solve(gripper_ground, gripper_lifted, gripper_fdr):
     """Untrained models still yield total heuristics; every encoding path
     must drive the search to a valid plan."""
@@ -241,7 +273,7 @@ def test_experiment_coverage_and_determinism(gripper_ground):
     factories = [("blind", lambda t: ConstantHeuristic(0)),
                  ("hff", lambda t: OracleHeuristic(t, "hff"))]
     a = run_experiment(tasks, factories)
-    b = run_experiment(tasks, factories, jobs=3)
+    b = run_experiment(tasks, factories)
     assert a.to_csv() == b.to_csv()
     assert a.coverage() == {"blind": (3, 3), "hff": (3, 3)}
     assert "task,heuristic,status," in a.to_csv().splitlines()[0]
