@@ -203,7 +203,7 @@ def cmd_oracle(args) -> int:
     nanos = time.perf_counter_ns() - start
     payload = {
         "heuristic": args.heuristic,
-        "value": "inf" if value.infinite else value.value,
+        "value": value.json_value,
         "iterations": value.iterations,
         "nanoseconds": nanos,
     }

@@ -73,8 +73,7 @@ def model_gap(g1, g2, models: int, seed: int, layer_count: int = 4,
 
 
 def _value(task, fn):
-    v = fn(task, task.init)
-    return "inf" if v.infinite else v.value
+    return fn(task, task.init).json_value
 
 
 def check_program_equivalence(seed: int, random_tasks: int = 200) -> Verdict:

@@ -6,7 +6,6 @@ from .exact import (
     h_plus,
     h_star,
     optimal_plan,
-    reachable_states,
 )
 from .labels import label_dataset
 from .relaxation import RelaxationTable, h_add, h_dp, h_ff, h_max, relaxation_table
@@ -15,6 +14,5 @@ from .values import INFINITY, HeuristicValue
 __all__ = [
     "DEFAULT_FACT_BUDGET", "DEFAULT_STATE_CAP", "HeuristicValue", "INFINITY",
     "RelaxationTable", "h_add", "h_dp", "h_ff", "h_max",
-    "h_plus", "h_star", "label_dataset", "optimal_plan", "reachable_states",
-    "relaxation_table",
+    "h_plus", "h_star", "label_dataset", "optimal_plan", "relaxation_table",
 ]

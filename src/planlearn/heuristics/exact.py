@@ -2,19 +2,23 @@
 
 These are reference computations for labels, baselines and the
 expressiveness checks; exactness matters, speed only at fixture scale.
-Uniform-cost search and state enumeration run on the task's search states
-(packed ints for STRIPS); states passed in and returned are frozensets of
-proposition ids for STRIPS and value tuples for FDR.
+Uniform-cost search runs on the task's search states (packed ints for
+STRIPS); states passed in are frozensets of proposition ids for STRIPS and
+value tuples for FDR. h+ is h* of the relevant delete relaxation: the
+same uniform-cost search on a small delete-free task over the facts that
+the goal needs and the state lacks.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+import math
 
 from ..errors import BudgetExceeded
-from ..task.model import StripsTask, initial_state, plan_from_parents, successors
+from ..task.model import (StripsAction, StripsTask, initial_state, plan_from_parents,
+                          successors)
+from .relaxation import relaxation_table
 from .values import INFINITY, HeuristicValue
 
 DEFAULT_STATE_CAP = 10**6
@@ -64,96 +68,50 @@ def optimal_plan(task, state=None, state_cap: int = DEFAULT_STATE_CAP):
 
 def h_plus(task: StripsTask, state: frozenset[int] | None = None,
            fact_budget: int = DEFAULT_FACT_BUDGET) -> HeuristicValue:
-    """Optimal delete-relaxation cost.
+    """Optimal delete-relaxation cost, as h_star of the relevant delete
+    relaxation.
 
-    Uniform-cost search over monotonically growing sets of achieved facts,
-    restricted to facts backward-relevant to the goal. Exact; raises
-    BudgetExceeded when more than fact_budget unreached relevant facts exist.
+    Facts and actions are relaxed-reachable when their h_max cost is finite.
+    The relevant facts are the missing goal facts, closed backward under the
+    preconditions of their usable achievers. Raises BudgetExceeded when more
+    than fact_budget relevant facts exist or the search stores more than
+    DEFAULT_STATE_CAP fact sets.
     """
     if state is None:
         state = task.init
-    missing_goal = frozenset(task.goal - state)
+    missing_goal = task.goal - state
     if not missing_goal:
         return HeuristicValue(0)
 
-    # Forward relaxed reachability.
-    reached = set(state)
-    frontier = True
-    usable = []
-    remaining = list(range(len(task.actions)))
-    while frontier:
-        frontier = False
-        still = []
-        for i in remaining:
-            a = task.actions[i]
-            if a.pre <= reached:
-                usable.append(i)
-                if not a.add <= reached:
-                    reached |= a.add
-                    frontier = True
-            else:
-                still.append(i)
-        remaining = still
-    if not missing_goal <= reached:
+    table = relaxation_table(task, state, "max")
+    if any(math.isinf(table.prop_cost[p]) for p in missing_goal):
         return HeuristicValue(INFINITY)
+    usable = [not math.isinf(c) for c in table.action_cost]
 
     # Backward relevance: goal facts, their achievers' preconditions, and so on.
+    supporters = task.incidence.supporters
     relevant: set[int] = set()
-    agenda = [p for p in missing_goal]
+    agenda = list(missing_goal)
     while agenda:
         p = agenda.pop()
-        if p in relevant or p in state:
+        if p in relevant:
             continue
         relevant.add(p)
-        for i in usable:
-            a = task.actions[i]
-            if p in a.add:
-                agenda.extend(q for q in a.pre if q not in state and q not in relevant)
+        for i in supporters[p]:
+            if usable[i]:
+                agenda.extend(task.actions[i].pre - state - relevant)
     if len(relevant) > fact_budget:
         raise BudgetExceeded(
             f"{len(relevant)} unreached relevant facts exceed budget {fact_budget}")
 
-    rel_actions = [task.actions[i] for i in usable
-                   if task.actions[i].add & relevant]
-    rel_actions.sort(key=lambda a: a.cost)
-    start = frozenset()
-    dist: dict[frozenset[int], float] = {start: 0}
-    counter = itertools.count()
-    heap = [(0, next(counter), start)]
-    while heap:
-        d, _, achieved = heapq.heappop(heap)
-        if d > dist[achieved]:
-            continue
-        if missing_goal <= achieved:
-            return HeuristicValue(d)
-        have = state | achieved
-        for a in rel_actions:
-            if not a.pre <= have:
-                continue
-            gain = (a.add & relevant) - achieved
-            if not gain:
-                continue
-            nxt = achieved | gain
-            nd = d + a.cost
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                heapq.heappush(heap, (nd, next(counter), nxt))
-    return HeuristicValue(INFINITY)
-
-
-def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):
-    """All states reachable from the initial state (breadth-first order)."""
-    start = initial_state(task)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for _, nxt in successors(task, s):
-            if nxt not in seen:
-                seen.add(nxt)
-                if len(seen) > state_cap:
-                    raise BudgetExceeded(f"state cap {state_cap} exceeded enumerating states")
-                order.append(nxt)
-                queue.append(nxt)
-    return [task.decode(s) for s in order]
+    # Every usable achiever of a relevant fact has its unmet preconditions
+    # among the relevant facts, so the relaxed task needs no other facts.
+    facts = sorted(relevant)
+    rename = {p: i for i, p in enumerate(facts)}
+    actions = tuple(
+        StripsAction(a.name, frozenset(rename[p] for p in a.pre - state),
+                     frozenset(rename[p] for p in a.add & relevant), frozenset(), a.cost)
+        for i, a in enumerate(task.actions) if usable[i] and a.add & relevant)
+    relaxed = StripsTask(tuple(task.propositions[p] for p in facts), actions, frozenset(),
+                         frozenset(rename[p] for p in missing_goal))
+    return h_star(relaxed, state_cap=DEFAULT_STATE_CAP)

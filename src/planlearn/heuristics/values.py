@@ -62,6 +62,11 @@ class HeuristicValue:
     def infinite(self) -> bool:
         return isinstance(self.value, _InfinityType)
 
+    @property
+    def json_value(self) -> int | str:
+        """The value as the JSON outputs spell it: the integer, or "inf"."""
+        return "inf" if self.infinite else self.value
+
     def __float__(self) -> float:
         return float("inf") if self.infinite else float(self.value)
 

@@ -1,11 +1,10 @@
 """Greedy best-first search with pluggable heuristics."""
 
 from .experiment import ExperimentRow, ExperimentTable, run_experiment
-from .gbfs import SearchConfig, SearchResult, blind, format_plan, gbfs
+from .gbfs import SearchConfig, SearchResult, format_plan, gbfs
 from .heuristics import ConstantHeuristic, ModelHeuristic, OracleHeuristic
 
 __all__ = [
     "ConstantHeuristic", "ExperimentRow", "ExperimentTable", "ModelHeuristic",
-    "OracleHeuristic", "SearchConfig", "SearchResult", "blind", "format_plan", "gbfs",
-    "run_experiment",
+    "OracleHeuristic", "SearchConfig", "SearchResult", "format_plan", "gbfs", "run_experiment",
 ]

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from ..errors import InvalidPlan
 from ..task.model import initial_state, plan_from_parents, successors, validate_plan
-from .heuristics import ConstantHeuristic
 
 
 @dataclass(frozen=True)
@@ -122,12 +121,6 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
             fresh.append(nxt)
         push_evaluated(fresh)
     return result("exhausted")
-
-
-def blind(task, config: SearchConfig | None = None) -> SearchResult:
-    """Zero heuristic; FIFO tie-breaking makes this breadth-first search,
-    so plan costs are optimal for unit-cost tasks."""
-    return gbfs(task, ConstantHeuristic(0.0), config)
 
 
 def format_plan(task, result: SearchResult) -> str:

@@ -1,10 +1,19 @@
-"""Task transformations, measurements and reference graph builders that
-only the tests need."""
+"""Task transformations, state enumeration, blind search, measurements and
+reference implementations (h+, graph builders, the network) that only the
+tests need."""
+
+import heapq
+import itertools
+from collections import deque
 
 import numpy as np
 
+from planlearn.errors import BudgetExceeded
 from planlearn.graphs import IndexEncoder, LearningGraph, flg_kind, slg_kind
+from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
+from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.task import FdrTask, StripsTask
+from planlearn.task.model import initial_state, successors
 
 
 def delete_relax(task: StripsTask) -> StripsTask:
@@ -13,6 +22,110 @@ def delete_relax(task: StripsTask) -> StripsTask:
         type(a)(a.name, a.pre, a.add, frozenset(), a.cost) for a in task.actions)
     return StripsTask(task.propositions, actions, task.init, task.goal,
                       name=task.name + "+")
+
+
+def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):
+    """All states reachable from the initial state (breadth-first order)."""
+    start = initial_state(task)
+    seen = {start}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        s = queue.popleft()
+        for _, nxt in successors(task, s):
+            if nxt not in seen:
+                seen.add(nxt)
+                if len(seen) > state_cap:
+                    raise BudgetExceeded(f"state cap {state_cap} exceeded enumerating states")
+                order.append(nxt)
+                queue.append(nxt)
+    return [task.decode(s) for s in order]
+
+
+def blind(task, config: SearchConfig | None = None) -> SearchResult:
+    """Zero heuristic; FIFO tie-breaking makes this breadth-first search,
+    so plan costs are optimal for unit-cost tasks."""
+    return gbfs(task, ConstantHeuristic(0.0), config)
+
+
+def reference_h_plus(task: StripsTask, state: frozenset[int] | None = None,
+                     fact_budget: int = DEFAULT_FACT_BUDGET) -> HeuristicValue:
+    """Optimal delete-relaxation cost, the slow reference for h_plus.
+
+    Uniform-cost search over monotonically growing sets of achieved facts,
+    restricted to facts backward-relevant to the goal. Exact; raises
+    BudgetExceeded when more than fact_budget unreached relevant facts exist.
+    Its search has no state cap.
+    """
+    if state is None:
+        state = task.init
+    missing_goal = frozenset(task.goal - state)
+    if not missing_goal:
+        return HeuristicValue(0)
+
+    # Forward relaxed reachability.
+    reached = set(state)
+    frontier = True
+    usable = []
+    remaining = list(range(len(task.actions)))
+    while frontier:
+        frontier = False
+        still = []
+        for i in remaining:
+            a = task.actions[i]
+            if a.pre <= reached:
+                usable.append(i)
+                if not a.add <= reached:
+                    reached |= a.add
+                    frontier = True
+            else:
+                still.append(i)
+        remaining = still
+    if not missing_goal <= reached:
+        return HeuristicValue(INFINITY)
+
+    # Backward relevance: goal facts, their achievers' preconditions, and so on.
+    relevant: set[int] = set()
+    agenda = [p for p in missing_goal]
+    while agenda:
+        p = agenda.pop()
+        if p in relevant or p in state:
+            continue
+        relevant.add(p)
+        for i in usable:
+            a = task.actions[i]
+            if p in a.add:
+                agenda.extend(q for q in a.pre if q not in state and q not in relevant)
+    if len(relevant) > fact_budget:
+        raise BudgetExceeded(
+            f"{len(relevant)} unreached relevant facts exceed budget {fact_budget}")
+
+    rel_actions = [task.actions[i] for i in usable
+                   if task.actions[i].add & relevant]
+    rel_actions.sort(key=lambda a: a.cost)
+    start = frozenset()
+    dist: dict[frozenset[int], float] = {start: 0}
+    counter = itertools.count()
+    heap = [(0, next(counter), start)]
+    while heap:
+        d, _, achieved = heapq.heappop(heap)
+        if d > dist[achieved]:
+            continue
+        if missing_goal <= achieved:
+            return HeuristicValue(d)
+        have = state | achieved
+        for a in rel_actions:
+            if not a.pre <= have:
+                continue
+            gain = (a.add & relevant) - achieved
+            if not gain:
+                continue
+            nxt = achieved | gain
+            nd = d + a.cost
+            if nxt not in dist or nd < dist[nxt]:
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, next(counter), nxt))
+    return HeuristicValue(INFINITY)
 
 
 def min_pairwise_distance(encoder: IndexEncoder, upto: int) -> float:

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from planlearn.expressiveness import grounded_twin_pair, random_unit_task, wl_refine
 from planlearn.graphs import build_flg, build_slg, state_graphs
-from planlearn.heuristics import reachable_states
 from planlearn.task import binary_fdr_view
 
-from helpers import reference_flg, reference_slg
+from helpers import reachable_states, reference_flg, reference_slg
 
 
 def assert_same_graph(got, want):

@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from planlearn.bench.domains import DOMAIN_TEXT, GENERATORS
+from planlearn.cli import cli_main
 from planlearn.errors import BudgetExceeded, InvalidPlan
 from planlearn.expressiveness import (
     delete_relaxation_gap_task,
@@ -13,6 +16,7 @@ from planlearn.expressiveness import (
 )
 from planlearn.heuristics import (
     INFINITY,
+    HeuristicValue,
     h_add,
     h_dp,
     h_ff,
@@ -21,12 +25,11 @@ from planlearn.heuristics import (
     h_star,
     label_dataset,
     optimal_plan,
-    reachable_states,
     relaxation_table,
 )
-from planlearn.task import StripsTask, ground, validate_plan
+from planlearn.task import StripsTask, ground, parse_pddl, validate_plan
 
-from helpers import delete_relax
+from helpers import delete_relax, reachable_states, reference_h_plus
 
 
 def test_goal_satisfied_gives_zero(gripper_ground):
@@ -133,6 +136,67 @@ def test_h_plus_budget():
         h_plus(p1, fact_budget=3)
 
 
+def _bench_task(domain, size, seed):
+    strips, _ = ground(parse_pddl(DOMAIN_TEXT[domain], GENERATORS[domain](size, seed=seed)))
+    return strips
+
+
+def _h_plus_outcome(fn, task, state, fact_budget):
+    try:
+        return fn(task, state, fact_budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_h_plus_matches_reference():
+    """h_plus (h_star of the relevant delete relaxation) gives the reference
+    value, or the same BudgetExceeded message, on every case."""
+    cases = []
+    for task in (*grounded_twin_pair(), delete_relaxation_gap_task(), *scaling_twin_pair(3)):
+        cases += [(task, s, 25) for s in reachable_states(task)[:50]]
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        task = random_unit_task(rng)
+        cases += [(task, s, budget) for s in reachable_states(task)[:10] for budget in (25, 3)]
+        costs = rng.integers(0, 4, size=len(task.actions)).tolist()
+        weighted = StripsTask(task.propositions, tuple(
+            replace(a, cost=c) for a, c in zip(task.actions, costs)), task.init, task.goal)
+        cases.append((weighted, weighted.init, 25))
+    for domain, size in (("gripper", 3), ("blocksworld", 4), ("visitall", 3), ("spanner", 3)):
+        task = _bench_task(domain, size, seed=1)
+        cases += [(task, s, 25) for s in reachable_states(task)[:100]]
+    kinds = set()
+    for task, state, budget in cases:
+        want = _h_plus_outcome(reference_h_plus, task, state, budget)
+        assert _h_plus_outcome(h_plus, task, state, budget) == want, (task.name, state, budget)
+        kinds.add("budget" if isinstance(want, str) else "inf" if want.infinite else "finite")
+    assert kinds == {"budget", "inf", "finite"}
+
+
+@pytest.fixture
+def small_state_cap(monkeypatch):
+    monkeypatch.setattr("planlearn.heuristics.exact.DEFAULT_STATE_CAP", 1000)
+
+
+def test_h_plus_state_cap(small_state_cap):
+    """gripper-6 has 19 unreached relevant facts, within the fact budget, but
+    its relaxed search stores far more than 1000 fact sets."""
+    with pytest.raises(BudgetExceeded, match="state cap 1000 exceeded"):
+        h_plus(_bench_task("gripper", 6, seed=0))
+
+
+def test_oracle_hplus_state_cap_is_one_line_error(small_state_cap, tmp_path, capsys):
+    domain, problem = tmp_path / "domain.pddl", tmp_path / "p.pddl"
+    domain.write_text(DOMAIN_TEXT["gripper"])
+    problem.write_text(GENERATORS["gripper"](6))
+    assert cli_main(["oracle", "--domain", str(domain), "--problem", str(problem),
+                     "--heuristic", "hplus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if not line.startswith("WARNING")]
+    assert errors == ["error: state cap 1000 exceeded in exact search"]
+
+
 def test_h_star_consistency_small_fixture():
     task = delete_relaxation_gap_task()
     for state in reachable_states(task):
@@ -196,3 +260,5 @@ def test_infinity_marker_saturates():
     assert not (INFINITY < INFINITY)
     assert INFINITY == INFINITY
     assert float(INFINITY) == math.inf
+    assert HeuristicValue(INFINITY).json_value == "inf"
+    assert HeuristicValue(3).json_value == 3

@@ -14,11 +14,12 @@ from planlearn.graphs import (
     slg_kind,
     state_graphs,
 )
-from planlearn.heuristics.exact import reachable_states
 from planlearn.nn import forward, forward_batch, forward_packed, init_model, pack_graphs
 from planlearn.nn.model import AGGREGATORS
 from planlearn.seeding import rng_for
 from planlearn.task import ground, parse_pddl
+
+from helpers import reachable_states
 
 
 def random_graph(kind, n_nodes, n_edges, seed):

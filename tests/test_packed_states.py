@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from planlearn import bench
 from planlearn.errors import BudgetExceeded, InvalidPlan
 from planlearn.expressiveness import grounded_twin_pair, lifted_twin_pair, random_unit_task
-from planlearn.heuristics import INFINITY, h_ff, h_star, optimal_plan, reachable_states
+from planlearn.heuristics import INFINITY, h_ff, h_star, optimal_plan
 from planlearn.search import ConstantHeuristic, OracleHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.seeding import derive_seed
 from planlearn.task import (
@@ -37,6 +37,8 @@ from planlearn.task import (
     validate_plan,
 )
 from planlearn.task.model import plan_from_parents
+
+from helpers import reachable_states
 
 # ── reference implementation ──────────────────────────────────────────────
 

@@ -9,7 +9,6 @@ from planlearn.search import (
     ConstantHeuristic,
     OracleHeuristic,
     SearchConfig,
-    blind,
     format_plan,
     gbfs,
     run_experiment,
@@ -22,6 +21,8 @@ from planlearn.task import (
     successors,
     validate_plan,
 )
+
+from helpers import blind, reachable_states
 
 
 class FunctionHeuristic:
@@ -206,7 +207,6 @@ def test_model_heuristic_rewrite_equals_fresh_graph(gripper_ground, gripper_fdr)
     estimate as the reference full build of that state's graph."""
     from helpers import reference_flg, reference_slg
     from planlearn.graphs import flg_kind, slg_kind
-    from planlearn.heuristics import reachable_states
     from planlearn.nn import forward, init_model
     from planlearn.search import ModelHeuristic
 

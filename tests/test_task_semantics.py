@@ -9,7 +9,7 @@ from planlearn.expressiveness import (
     grounded_twin_pair,
     random_unit_task,
 )
-from planlearn.heuristics import h_star, reachable_states
+from planlearn.heuristics import h_star
 from planlearn.task import (
     StripsAction,
     StripsTask,
@@ -22,6 +22,8 @@ from planlearn.task import (
 )
 
 import numpy as np
+
+from helpers import reachable_states
 
 
 def test_apply_strips_substitution():
