@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import BudgetExceeded, InvalidSize
+from ..errors import BudgetExceeded, InvalidSize, finite_json
 from ..graphs.builders import encoded_task, state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import optimal_plan
@@ -113,7 +113,8 @@ def write_suite(suite: Suite, out_dir) -> Path:
         path.write_text(inst.problem_text)
         manifest["instances"].append(
             {"name": inst.name, "split": inst.split, "size": inst.size, "path": rel})
-    (root / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    (root / "manifest.json").write_text(
+        finite_json(manifest, root / "manifest.json", indent=1) + "\n")
     return root
 
 

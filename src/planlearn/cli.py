@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .bench import SuiteSpec, build_training_set, default_suite, generate, load_suite, write_suite
 from .bench.domains import GENERATORS
-from .errors import PlanlearnError
+from .errors import PlanlearnError, finite_json, named_input
 from .expressiveness import run_theory_checks
 from .graphs import IndexEncoder, encoded_task, graph_to_dot, graph_to_json, state_graphs
 from .nn import TrainConfig, load_model, save_model, train
@@ -72,11 +72,12 @@ def _read(path: str) -> str:
 def _load_tasks(args):
     """(strips_task, grounding_map, lifted_task_or_None, fdr_or_None)."""
     if getattr(args, "sas", None):
-        fdr = parse_sas(_read(args.sas))
+        fdr = named_input(args.sas, parse_sas, _read(args.sas))
         return strips_view(fdr), None, None, fdr
     if not args.domain or not args.problem:
         raise UsageError("need --domain and --problem (or --sas)")
-    lifted = parse_pddl(_read(args.domain), _read(args.problem))
+    lifted = parse_pddl(_read(args.domain), _read(args.problem),
+                        names=(args.domain, args.problem))
     strips, gmap = ground(lifted)
     return strips, gmap, lifted, None
 
@@ -114,7 +115,7 @@ def cmd_graph(args) -> int:
     graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
     out = _out_dir(args)
     _write_run_json(args, out)
-    (out / "graph.json").write_text(graph_to_json(graph) + "\n")
+    (out / "graph.json").write_text(graph_to_json(graph, out / "graph.json") + "\n")
     (out / "graph.dot").write_text(graph_to_dot(graph))
     print(f"{args.kind}: {graph.num_nodes} nodes, {graph.num_edges} edges "
           f"{graph.label_counts()} -> {out / 'graph.json'}")
@@ -183,7 +184,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args)
     _write_run_json(args, out)
     (out / "result.json").write_text(
-        json.dumps(result.to_json_dict(), indent=1) + "\n")
+        finite_json(result.to_json_dict(), out / "result.json", indent=1) + "\n")
     (out / "timings.json").write_text(
         json.dumps({"wall_nanos": result.wall_nanos}) + "\n")
     if result.status == "solved":
@@ -212,7 +213,8 @@ def cmd_oracle(args) -> int:
         out = _out_dir(args)
         _write_run_json(args, out)
         stable = {k: v for k, v in payload.items() if k != "nanoseconds"}
-        (out / "oracle.json").write_text(json.dumps(stable, indent=1) + "\n")
+        (out / "oracle.json").write_text(
+            finite_json(stable, out / "oracle.json", indent=1) + "\n")
     return 0
 
 
@@ -221,8 +223,8 @@ def cmd_theory(args) -> int:
                                  random_tasks=args.random_tasks)
     out = _out_dir(args)
     _write_run_json(args, out)
-    (out / "verdicts.json").write_text(
-        json.dumps([v.to_json_dict() for v in verdicts], indent=1) + "\n")
+    (out / "verdicts.json").write_text(finite_json(
+        [v.to_json_dict() for v in verdicts], out / "verdicts.json", indent=1) + "\n")
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"{status} {v.check} [{v.graph_kind}] wl_equal={v.wl_equal} "

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, the JSON writer that refuses
+non-finite numbers and the wrapper that names the input an error came from."""
+
+import json
 
 
 class PlanlearnError(Exception):
@@ -60,6 +63,10 @@ class NonFiniteEstimate(PlanlearnError):
     """A model heuristic produced a NaN or infinite estimate."""
 
 
+class NonFiniteOutput(PlanlearnError):
+    """A primary output would hold NaN or an infinity."""
+
+
 class FormatVersionMismatch(PlanlearnError):
     """Stored file declares an unsupported format version."""
 
@@ -74,3 +81,23 @@ class BoundViolation(PlanlearnError):
 
 class InvalidSize(PlanlearnError):
     """Instance generator size parameter out of range."""
+
+
+def finite_json(payload, output, **kwargs) -> str:
+    """`json.dumps(payload, **kwargs)` without the non-JSON tokens NaN and
+    Infinity: a non-finite number raises NonFiniteOutput naming `output`."""
+    try:
+        return json.dumps(payload, allow_nan=False, **kwargs)
+    except ValueError:
+        raise NonFiniteOutput(f"{output} not written: it would hold NaN or an infinity, "
+                              "which JSON cannot encode") from None
+
+
+def named_input(name, parse, *args):
+    """parse(*args), with `name: ` put before the message of any error it
+    raises, so that a one-line error says which input is at fault."""
+    try:
+        return parse(*args)
+    except PlanlearnError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 
+from ..errors import finite_json
 from .core import GraphKind, LearningGraph
 
 _DOT_COLORS = {
@@ -15,7 +16,9 @@ _DOT_COLORS = {
 }
 
 
-def graph_to_json(graph: LearningGraph) -> str:
+def graph_to_json(graph: LearningGraph, output="graph JSON") -> str:
+    """The graph as JSON; a non-finite feature raises NonFiniteOutput naming
+    `output`."""
     payload = {
         "kind": graph.kind.name,
         "T": graph.kind.index_dim,
@@ -27,7 +30,7 @@ def graph_to_json(graph: LearningGraph) -> str:
         ],
         "edges": [[u, v, lab] for u, v, lab in graph.edges],
     }
-    return json.dumps(payload, indent=1)
+    return finite_json(payload, output, indent=1)
 
 
 def graph_from_json(text: str) -> LearningGraph:

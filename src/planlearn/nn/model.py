@@ -99,25 +99,36 @@ def _glorot(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_out, fan_in))
 
 
+def param_shapes(kind: GraphKind, layer_count: int, hidden_dim: int) -> dict[str, tuple]:
+    """Name and shape of every parameter, in the order init_model draws them."""
+    F = hidden_dim
+    shapes = {"input_proj": (F, kind.dim)}
+    for t in range(layer_count):
+        shapes[f"layer{t}.self"] = (F, F)
+        shapes[f"layer{t}.bias"] = (F,)
+        for lab in kind.labels:
+            shapes[f"layer{t}.label.{lab}"] = (F, F)
+    shapes.update({"head.w1": (F, F), "head.b1": (F,), "head.w2": (F,), "head.b2": (1,)})
+    return shapes
+
+
 def init_model(kind: GraphKind, layer_count: int = 8, hidden_dim: int = 64,
                aggregator: str = "mean", readout: str = "sum",
                seed: int = 0) -> MpnnModel:
+    """Glorot-uniform matrices (head.w2 drawn as one row) and zero biases."""
     if aggregator not in AGGREGATORS:
         raise ValueError(f"aggregator must be one of {AGGREGATORS}")
     if readout not in READOUTS:
         raise ValueError(f"readout must be one of {READOUTS}")
     rng = rng_for(seed, "model-init")
-    F, d = hidden_dim, kind.dim
-    params: dict[str, np.ndarray] = {"input_proj": _glorot(rng, F, d)}
-    for t in range(layer_count):
-        params[f"layer{t}.self"] = _glorot(rng, F, F)
-        params[f"layer{t}.bias"] = np.zeros(F)
-        for lab in kind.labels:
-            params[f"layer{t}.label.{lab}"] = _glorot(rng, F, F)
-    params["head.w1"] = _glorot(rng, F, F)
-    params["head.b1"] = np.zeros(F)
-    params["head.w2"] = _glorot(rng, 1, F)[0]
-    params["head.b2"] = np.zeros(1)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(kind, layer_count, hidden_dim).items():
+        if name == "head.w2":
+            params[name] = _glorot(rng, 1, hidden_dim)[0]
+        elif len(shape) == 2:
+            params[name] = _glorot(rng, *shape)
+        else:
+            params[name] = np.zeros(shape)
     return MpnnModel(kind, layer_count, hidden_dim, aggregator, readout, seed, params)
 
 

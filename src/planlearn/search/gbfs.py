@@ -119,7 +119,8 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
                 continue
             parents[nxt] = (state, aid)
             fresh.append(nxt)
-        push_evaluated(fresh)
+        if fresh:
+            push_evaluated(fresh)
     return result("exhausted")
 
 

@@ -16,7 +16,11 @@ returns (action id, successor) pairs in action order, which gbfs's
 first-in-first-out tie-break (and with it breadth-first optimality of blind
 search) relies on. A STRIPS action applies when `state & pre == pre` and
 leads to `(state & keep) | add`, with keep the complement of its delete
-mask; the masks are compiled once per task.
+mask; the masks are compiled once per task. `successors` does not test the
+actions one by one: it ORs, per group of 4 propositions, a 16-entry table
+of the actions blocked by the group's missing facts, and walks the set bits
+of the unblocked actions from the lowest, which yields them in ascending
+action id (see `PackedMasks`).
 
 All task objects are immutable after construction and safe to share across
 threads; derived tables (a StripsTask's relaxation incidence and packed
@@ -176,8 +180,22 @@ class StripsTask:
 
     def successors(self, state: int) -> list[tuple[int, int]]:
         """All (action_id, successor) pairs applicable in state, in action order."""
-        return [(aid, (state & keep) | add)
-                for aid, pre, keep, add in self.masks.actions if state & pre == pre]
+        masks = self.masks
+        missing = masks.every ^ state
+        blocked = 0
+        for table in masks.blocked:
+            blocked |= table[missing & 15]
+            missing >>= 4
+        usable = masks.all_actions & ~blocked
+        effects = masks.effects
+        out = []
+        while usable:
+            low = usable & -usable
+            aid = low.bit_length() - 1
+            keep, add = effects[aid]
+            out.append((aid, (state & keep) | add))
+            usable ^= low
+        return out
 
     @cached_property
     def masks(self) -> PackedMasks:
@@ -199,19 +217,46 @@ class PackedMasks:
     `actions[aid]` is `(aid, pre, keep, add)`: the precondition mask, the
     complement of the delete mask within the task's propositions (kept
     non-negative, which makes `&` cheaper than with `~dele`) and the add
-    mask. `goal` is the goal mask.
+    mask; `effects[aid]` is its `(keep, add)`. `goal` is the goal mask,
+    `every` the mask of all propositions and `all_actions` the mask of all
+    action ids.
+
+    `blocked` answers which actions a state rules out. Proposition ids are
+    split into groups of 4 consecutive ids, 0-3, 4-7 and so on; group g's
+    entry is a 16-tuple whose item v is the action-id bitset of the actions
+    with a precondition among the group members `4g + i` with bit i set in v.
+    The actions blocked in a state are the OR of each group's item at the
+    state's missing facts in that group: one lookup per 4 propositions,
+    whatever the action count. The tables hold 4 entries per proposition.
     """
 
     actions: tuple[tuple[int, int, int, int], ...]
     goal: int
+    every: int
+    all_actions: int
+    effects: tuple[tuple[int, int], ...]
+    blocked: tuple[tuple[int, ...], ...]
 
     @classmethod
     def of(cls, task: StripsTask) -> PackedMasks:
         encode = task.encode
-        every = (1 << len(task.propositions)) - 1
+        n = len(task.propositions)
+        every = (1 << n) - 1
         actions = tuple((aid, encode(a.pre), every ^ encode(a.dele), encode(a.add))
                         for aid, a in enumerate(task.actions))
-        return cls(actions, encode(task.goal))
+        needs = [0] * (n + 3)      # padded to a whole last group
+        for aid, a in enumerate(task.actions):
+            for p in a.pre:
+                needs[p] |= 1 << aid
+        blocked = []
+        for base in range(0, n, 4):
+            table = [0] * 16
+            for v in range(1, 16):
+                low = v & -v
+                table[v] = table[v ^ low] | needs[base + low.bit_length() - 1]
+            blocked.append(tuple(table))
+        return cls(actions, encode(task.goal), every, (1 << len(actions)) - 1,
+                   tuple((keep, add) for _, _, keep, add in actions), tuple(blocked))
 
 
 @dataclass(frozen=True, eq=False)

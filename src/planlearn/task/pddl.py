@@ -11,7 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ArityMismatch, ParseError, UndeclaredSymbol, UnsupportedFeature
+from ..errors import (
+    ArityMismatch,
+    ParseError,
+    UndeclaredSymbol,
+    UnsupportedFeature,
+    named_input,
+)
 from .model import Atom, LiftedTask, Predicate, Schema
 
 _ACCEPTED_REQUIREMENTS = {":strips", ":typing", ":action-costs"}
@@ -282,15 +288,28 @@ def _parse_action(section) -> dict:
     return action
 
 
-def parse_pddl(domain_text: str, problem_text: str) -> LiftedTask:
+def parse_pddl(domain_text: str, problem_text: str,
+               names: tuple[str, str] = ("domain", "problem")) -> LiftedTask:
     """Parse a domain/problem pair into a LiftedTask.
 
     Total over the supported subset; rejects anything outside it with
     UnsupportedFeature, and ill-formed atoms with ArityMismatch or
-    UndeclaredSymbol.
+    UndeclaredSymbol. Each error message starts with the name of the input
+    at fault: names[0] for the domain and its action schemas, names[1] for
+    the problem.
     """
-    dom = _parse_domain(domain_text)
+    domain_name, problem_name = names
+    dom = named_input(domain_name, _parse_domain, domain_text)
+    object_names, init_atoms, goal_atoms = named_input(problem_name, _parse_problem,
+                                                       dom, problem_text)
+    schemas = named_input(domain_name, _build_schemas, dom, set(object_names))
+    predicates = tuple(sorted(
+        (Predicate(n, a) for n, a in dom.predicates.items()), key=lambda p: p.name))
+    return LiftedTask(predicates, object_names, schemas, init_atoms, goal_atoms)
 
+
+def _parse_problem(dom: _Domain, problem_text: str):
+    """(object names, init atoms, goal atoms) of a problem of the domain."""
     expr = _parse_sexpr(_tokenize(problem_text))
     if _head(expr) != "define" or len(expr) < 2 or _head(expr[1]) != "problem":
         raise ParseError("not a PDDL problem", line=_line(expr),
@@ -321,8 +340,6 @@ def parse_pddl(domain_text: str, problem_text: str) -> LiftedTask:
         if typ != "object" and typ not in dom.types:
             raise UndeclaredSymbol(f"object {obj} has undeclared type {typ}")
 
-    predicates = tuple(sorted(
-        (Predicate(n, a) for n, a in dom.predicates.items()), key=lambda p: p.name))
     object_names = tuple(dict.fromkeys(obj for obj, _ in objects))
     builder = _TaskBuilder(dom)
     obj_scope = set(object_names)
@@ -341,7 +358,12 @@ def parse_pddl(domain_text: str, problem_text: str) -> LiftedTask:
     pos, _ = _flatten_condition(goal_expr, negatable=False, context="goal")
     goal_atoms = frozenset(
         builder.resolve_atom(n, a, line, obj_scope, "goal") for n, a, line in pos)
+    return object_names, frozenset(init_atoms), goal_atoms
 
+
+def _build_schemas(dom: _Domain, obj_scope: set[str]) -> tuple[Schema, ...]:
+    """The domain's action schemas over the problem's objects and constants."""
+    builder = _TaskBuilder(dom)
     schemas = []
     for act in dom.actions:
         params = tuple(p for p, _ in act["params"])
@@ -366,5 +388,4 @@ def parse_pddl(domain_text: str, problem_text: str) -> LiftedTask:
         schemas.append(Schema(act["name"], params, frozenset(pre_atoms),
                               frozenset(add_atoms), frozenset(del_atoms), cost=1))
 
-    return LiftedTask(predicates, object_names, tuple(schemas),
-                      frozenset(init_atoms), goal_atoms)
+    return tuple(schemas)

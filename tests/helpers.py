@@ -1,6 +1,6 @@
-"""Task transformations, state enumeration, blind search, measurements and
-reference implementations (h+, graph builders, the network) that only the
-tests need."""
+"""Task transformations, benchmark instances, state enumeration, blind
+search, measurements and reference implementations (successors, h+, graph
+builders, the network) that only the tests need."""
 
 import heapq
 import itertools
@@ -8,11 +8,13 @@ from collections import deque
 
 import numpy as np
 
+from planlearn import bench
 from planlearn.errors import BudgetExceeded
 from planlearn.graphs import IndexEncoder, LearningGraph, flg_kind, slg_kind
 from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
 from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
-from planlearn.task import FdrTask, StripsTask
+from planlearn.seeding import derive_seed
+from planlearn.task import FdrTask, StripsTask, ground, parse_pddl
 from planlearn.task.model import initial_state, successors
 
 
@@ -22,6 +24,20 @@ def delete_relax(task: StripsTask) -> StripsTask:
         type(a)(a.name, a.pre, a.add, frozenset(), a.cost) for a in task.actions)
     return StripsTask(task.propositions, actions, task.init, task.goal,
                       name=task.name + "+")
+
+
+def bench_task(domain: str, size: int, copy: int = 0) -> StripsTask:
+    """The ground task of a seeded benchmark instance."""
+    text = bench.GENERATORS[domain](size, seed=derive_seed(0, f"{domain}-{size}-{copy}"))
+    return ground(parse_pddl(bench.DOMAIN_TEXT[domain], text))[0]
+
+
+def reference_successors(task: StripsTask, state: int) -> list[tuple[int, int]]:
+    """All (action_id, successor) pairs applicable in a packed state, in
+    action order: one precondition-mask test per action, the slow reference
+    for StripsTask.successors."""
+    return [(aid, (state & keep) | add)
+            for aid, pre, keep, add in task.masks.actions if state & pre == pre]
 
 
 def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -355,3 +356,84 @@ def test_solve_with_trained_models(tmp_path, capsys, gripper_suite):
                 "--model", str(tmp_path / "llg" / "model.json"),
                 "--out-dir", str(tmp_path / "solve-llg-sas")]) == 2
     assert capsys.readouterr().err.startswith("usage error: lifted-encoding models need")
+
+
+def _rewrite_model(path, change):
+    """Apply change to the stored payload and store a matching checksum."""
+    payload = json.loads(path.read_text())
+    del payload["checksum"]
+    change(payload)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(canonical.encode()).hexdigest()
+    path.write_text(json.dumps(payload))
+
+
+def _set_nan(payload):
+    payload["params"]["head.w1"][3][5] = float("nan")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda payload: payload["params"].pop("layer1.bias"),
+     "parameters do not fit a slg model with 2 layers, hidden_dim 8 and feature dim 3: "
+     "missing ['layer1.bias'], unexpected []"),
+    (lambda payload: payload["params"].update({"layer2.bias": [0.0] * 8}),
+     "missing [], unexpected ['layer2.bias']"),
+    (lambda payload: payload["params"].update({"head.b1": [0.0] * 7}),
+     "parameter head.b1 has shape (7,), expected (8,)"),
+    (_set_nan, "parameter head.w1 holds a non-finite value"),
+    (lambda payload: payload["label_order"].reverse(),
+     "label order does not match the graph kind"),
+    (lambda payload: payload.update(kind="xyz"), "unknown graph kind 'xyz'"),
+    (lambda payload: payload.update(aggregator="median"),
+     "aggregator 'median' is not one of ('mean', 'max', 'sum')"),
+], ids=["missing", "extra", "shape", "nan", "label-order", "kind", "aggregator"])
+def test_solve_rejects_invalid_model_file(tmp_path, capsys, change, message):
+    """A model file whose checksum matches but whose header or parameters
+    do not describe a model ends in one error line naming the file, exit 1,
+    before any output is written."""
+    from planlearn.graphs import slg_kind
+    from planlearn.nn import init_model, save_model
+
+    path = tmp_path / "model.json"
+    save_model(init_model(slg_kind(), layer_count=2, hidden_dim=8, seed=3), path)
+    _rewrite_model(path, change)
+    code = run(["solve", "--domain", DOMAIN, "--problem", PROBLEM, "--heuristic", "model",
+                "--model", str(path), "--out-dir", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+    assert lines[-1].startswith(f"error: {path}: ") and message in lines[-1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--domain", "--problem", "--sas"])
+def test_parse_error_names_the_file(tmp_path, capsys, flag):
+    """A truncated input file gives one error line that names it."""
+    source = {"--domain": DOMAIN, "--problem": PROBLEM,
+              "--sas": str(FIXTURES / "gripper-b1.sas")}[flag]
+    bad = tmp_path / ("bad.sas" if flag == "--sas" else "bad.pddl")
+    bad.write_text(Path(source).read_text().rstrip()[:-1])
+    inputs = {"--domain": ["--domain", str(bad), "--problem", PROBLEM],
+              "--problem": ["--domain", DOMAIN, "--problem", str(bad)],
+              "--sas": ["--sas", str(bad)]}[flag]
+    code = run(["ground", *inputs, "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {bad}: "), err
+
+
+def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch):
+    """A NaN headed for oracle.json raises one error line naming the file
+    instead of writing the non-JSON token NaN."""
+    from planlearn.heuristics import HeuristicValue
+    from planlearn.search.heuristics import ORACLES
+
+    monkeypatch.setitem(ORACLES, "hmax", lambda task, state: HeuristicValue(float("nan")))
+    out = tmp_path / "out"
+    code = run(["oracle", "--domain", DOMAIN, "--problem", PROBLEM, "--heuristic", "hmax",
+                "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: {out / 'oracle.json'} not written: it would hold NaN or an "
+                   "infinity, which JSON cannot encode\n")
+    assert not (out / "oracle.json").exists()

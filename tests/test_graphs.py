@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from planlearn.errors import NonFiniteOutput
 from planlearn.expressiveness import grounded_twin_pair
 from planlearn.graphs import (
     IndexEncoder,
@@ -194,6 +195,9 @@ def test_graph_json_round_trip(gripper_ground):
     assert again.edges == g.edges
     dot = graph_to_dot(g)
     assert dot.startswith("graph") and "--" in dot
+    g.features[0, 0] = np.nan
+    with pytest.raises(NonFiniteOutput, match="^out/graph.json not written"):
+        graph_to_json(g, "out/graph.json")
 
 
 # ── index encoder ─────────────────────────────────────────────────────────

@@ -20,25 +20,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planlearn import bench
 from planlearn.errors import BudgetExceeded, InvalidPlan
 from planlearn.expressiveness import grounded_twin_pair, lifted_twin_pair, random_unit_task
 from planlearn.heuristics import INFINITY, h_ff, h_star, optimal_plan
 from planlearn.search import ConstantHeuristic, OracleHeuristic, SearchConfig, SearchResult, gbfs
-from planlearn.seeding import derive_seed
 from planlearn.task import (
     StripsTask,
     binary_fdr_view,
     ground,
     initial_state,
-    parse_pddl,
     strips_view,
     successors,
     validate_plan,
 )
 from planlearn.task.model import plan_from_parents
 
-from helpers import reachable_states
+from helpers import bench_task, reachable_states
 
 # ── reference implementation ──────────────────────────────────────────────
 
@@ -185,11 +182,6 @@ def reference_reachable(task, cap=None):
 
 
 # ── fixtures ──────────────────────────────────────────────────────────────
-
-
-def bench_task(domain, size, copy=0):
-    text = bench.GENERATORS[domain](size, seed=derive_seed(0, f"{domain}-{size}-{copy}"))
-    return ground(parse_pddl(bench.DOMAIN_TEXT[domain], text))[0]
 
 
 @pytest.fixture(scope="module")

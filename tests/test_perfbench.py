@@ -89,3 +89,17 @@ def test_traced_round_reports_every_layer(workload):
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {metric["name"] for metric in declared}
+
+
+def test_traced_blind_round_counts_every_expansion():
+    """gbfs expands through the module-level `successors`, so the traced
+    `task.successors` span sees one call per expansion (40442 at seed 0); a
+    search that called the task's bound method would leave the span quiet."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "search-oracle-blind",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    calls = metrics["task.successors.calls"]["value"]
+    assert calls == metrics["search.expansions"]["value"] == 40442
