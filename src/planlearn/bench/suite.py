@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..errors import BudgetExceeded, InvalidSize, finite_json
+from ..errors import BudgetExceeded, InvalidSize, ParseError, finite_json, named_input
 from ..graphs.builders import encoded_task, state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import optimal_plan
@@ -118,18 +118,48 @@ def write_suite(suite: Suite, out_dir) -> Path:
     return root
 
 
+def _require(value, keys, what):
+    """`value` if it is an object holding every key, else a ParseError."""
+    missing = [k for k in keys if not isinstance(value, dict) or k not in value]
+    if missing:
+        raise ParseError(f"{what} lacks {', '.join(repr(k) for k in missing)}")
+    return value
+
+
+def _read_manifest(text: str) -> tuple[SuiteSpec, list[dict]]:
+    """The spec and instance entries of a manifest that `write_suite` wrote."""
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno) from None
+    _require(manifest, ("domain", "seed", "splits", "instances"), "manifest")
+    splits = _require(manifest["splits"], ("train", "validate", "test"), "splits")
+    for name, sizes in splits.items():
+        if not isinstance(sizes, list) or not all(type(size) is int for size in sizes):
+            raise ParseError(f"split {name!r} is not a list of integers")
+    if not isinstance(manifest["instances"], list):
+        raise ParseError("instances is not a list")
+    for i, entry in enumerate(manifest["instances"]):
+        _require(entry, ("name", "split", "size", "path"), f"instance {i}")
+    spec = SuiteSpec(manifest["domain"], tuple(splits["train"]), tuple(splits["validate"]),
+                     tuple(splits["test"]), manifest["seed"])
+    return spec, manifest["instances"]
+
+
 def load_suite(manifest_path) -> Suite:
-    root = Path(manifest_path).parent
-    manifest = json.loads(Path(manifest_path).read_text())
-    spec = SuiteSpec(manifest["domain"], tuple(manifest["splits"]["train"]),
-                     tuple(manifest["splits"]["validate"]),
-                     tuple(manifest["splits"]["test"]), manifest["seed"])
-    domain_text = (root / "domain.pddl").read_text()
+    """The suite `write_suite` wrote. An error in the manifest or in a PDDL
+    file starts with the path of the file at fault."""
+    path = Path(manifest_path)
+    spec, entries = named_input(path, _read_manifest, path.read_text())
+    domain_path = path.parent / "domain.pddl"
+    domain_text = domain_path.read_text()
     suite = Suite(spec, domain_text)
-    for entry in manifest["instances"]:
-        text = (root / entry["path"]).read_text()
+    for entry in entries:
+        problem_path = path.parent / entry["path"]
+        text = problem_path.read_text()
+        task = parse_pddl(domain_text, text, names=(str(domain_path), str(problem_path)))
         suite.instances.append(Instance(entry["name"], entry["split"], entry["size"],
-                                        text, parse_pddl(domain_text, text)))
+                                        text, task))
     return suite
 
 

@@ -2,7 +2,8 @@
 
 Every subcommand that writes files takes --out-dir, writes only inside it,
 and records the fully resolved configuration in run.json there, so any run
-can be reproduced byte-for-byte from that file plus the inputs. All
+can be reproduced byte-for-byte from that file plus the inputs. run.json is
+written last, so a run refused while writing its outputs leaves none. All
 randomness flows from --seed through tagged substreams. Wall-clock numbers
 go to separate timings files; primary outputs are deterministic.
 """
@@ -99,8 +100,8 @@ def _write_run_json(args, out: Path):
 def cmd_ground(args) -> int:
     strips, _, _, _ = _load_tasks(args)
     out = _out_dir(args)
-    _write_run_json(args, out)
     (out / "task.strips").write_text(dump_strips(strips))
+    _write_run_json(args, out)
     print(f"{len(strips.propositions)} propositions, {len(strips.actions)} actions, "
           f"{len(strips.goal)} goal facts -> {out / 'task.strips'}")
     return 0
@@ -114,9 +115,9 @@ def cmd_graph(args) -> int:
     task = encoded_task(args.kind, strips, fdr)
     graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
     out = _out_dir(args)
-    _write_run_json(args, out)
     (out / "graph.json").write_text(graph_to_json(graph, out / "graph.json") + "\n")
     (out / "graph.dot").write_text(graph_to_dot(graph))
+    _write_run_json(args, out)
     print(f"{args.kind}: {graph.num_nodes} nodes, {graph.num_edges} edges "
           f"{graph.label_counts()} -> {out / 'graph.json'}")
     return 0
@@ -148,10 +149,10 @@ def cmd_train(args) -> int:
                          readout=args.readout, max_epochs=args.max_epochs)
     model, trace = train(samples, config)
     out = _out_dir(args)
-    _write_run_json(args, out)
     save_model(model, out / "model.json")
     (out / "trace.csv").write_text(trace.to_csv())
     (out / "timings.csv").write_text(trace.timings_csv())
+    _write_run_json(args, out)
     last = trace.rows[-1]
     print(f"{len(samples)} samples, {len(trace.rows)} epochs ({trace.stop_reason}), "
           f"final train MSE {last.train_loss:.4f}, holdout MSE {last.holdout_loss:.4f}")
@@ -182,19 +183,20 @@ def cmd_solve(args) -> int:
     search_task, heuristic = _heuristic(args.heuristic, model, strips, gmap, lifted, fdr)
     result = gbfs(search_task, heuristic, config)
     out = _out_dir(args)
-    _write_run_json(args, out)
     (out / "result.json").write_text(
         finite_json(result.to_json_dict(), out / "result.json", indent=1) + "\n")
     (out / "timings.json").write_text(
         json.dumps({"wall_nanos": result.wall_nanos}) + "\n")
     if result.status == "solved":
         (out / "plan.txt").write_text(format_plan(search_task, result))
-        print(f"solved: cost {result.plan_cost}, {result.expansions} expansions, "
-              f"{result.evaluations} evaluations -> {out / 'plan.txt'}")
-        return 0
-    print(f"{result.status}: {result.expansions} expansions, "
-          f"{result.evaluations} evaluations")
-    return 0 if result.status == "exhausted" else 1
+        summary = (f"solved: cost {result.plan_cost}, {result.expansions} expansions, "
+                   f"{result.evaluations} evaluations -> {out / 'plan.txt'}")
+    else:
+        summary = (f"{result.status}: {result.expansions} expansions, "
+                   f"{result.evaluations} evaluations")
+    _write_run_json(args, out)
+    print(summary)
+    return 0 if result.status in ("solved", "exhausted") else 1
 
 
 def cmd_oracle(args) -> int:
@@ -208,13 +210,15 @@ def cmd_oracle(args) -> int:
         "iterations": value.iterations,
         "nanoseconds": nanos,
     }
-    print(json.dumps(payload))
+    if args.out_dir:
+        stable = {k: v for k, v in payload.items() if k != "nanoseconds"}
+        text = finite_json(stable, Path(args.out_dir) / "oracle.json", indent=1)
+    line = finite_json(payload, "oracle output line")
     if args.out_dir:
         out = _out_dir(args)
+        (out / "oracle.json").write_text(text + "\n")
         _write_run_json(args, out)
-        stable = {k: v for k, v in payload.items() if k != "nanoseconds"}
-        (out / "oracle.json").write_text(
-            finite_json(stable, out / "oracle.json", indent=1) + "\n")
+    print(line)
     return 0
 
 
@@ -222,9 +226,9 @@ def cmd_theory(args) -> int:
     verdicts = run_theory_checks(seed=args.seed, models=args.models,
                                  random_tasks=args.random_tasks)
     out = _out_dir(args)
-    _write_run_json(args, out)
     (out / "verdicts.json").write_text(finite_json(
         [v.to_json_dict() for v in verdicts], out / "verdicts.json", indent=1) + "\n")
+    _write_run_json(args, out)
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"{status} {v.check} [{v.graph_kind}] wl_equal={v.wl_equal} "
@@ -272,10 +276,10 @@ def cmd_experiment(args) -> int:
     config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap)
     table = run_experiment(tasks, factories, config)
     out = _out_dir(args)
-    _write_run_json(args, out)
     (out / "results.csv").write_text(table.to_csv())
     (out / "coverage.csv").write_text(table.coverage_csv())
     (out / "timings.csv").write_text(table.timings_csv())
+    _write_run_json(args, out)
     for name, (solved, total) in sorted(table.coverage().items()):
         print(f"{name}: {solved}/{total} solved")
     print(f"results -> {out / 'results.csv'}")

@@ -3,10 +3,10 @@
 from .builders import build_flg, build_llg, build_slg, encoded_task, state_graphs
 from .core import GraphKind, LearningGraph, flg_kind, llg_kind, slg_kind
 from .encoder import IndexEncoder
-from .io import graph_from_json, graph_to_dot, graph_to_json
+from .io import graph_to_dot, graph_to_json
 
 __all__ = [
     "GraphKind", "IndexEncoder", "LearningGraph", "build_flg", "build_llg",
-    "build_slg", "encoded_task", "flg_kind", "graph_from_json", "graph_to_dot",
+    "build_slg", "encoded_task", "flg_kind", "graph_to_dot",
     "graph_to_json", "llg_kind", "slg_kind", "state_graphs",
 ]

@@ -8,7 +8,9 @@ node features, so a search can re-encode every visited state as a fresh
 subtask. The propositional and finite-domain structures do not depend on
 the state: their builders build one template per task and give each state
 a copy of its feature matrix with the state column set. The lifted builder
-rebuilds the instance subgraph for every state.
+binds a template too, the schema subgraph, which it builds and checks once
+per task; each state appends its instance nodes and `gamma` edges to it, and
+shares the template's adjacency and aggregation plans of the other labels.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from ..task.ground import GroundingMap, ground_state_atoms
 from ..task.model import Atom, FdrTask, LiftedTask, StripsTask, binary_fdr_view
-from .core import GraphKind, LearningGraph, flg_kind, llg_kind, slg_kind
+from .core import LearningGraph, flg_kind, llg_kind, slg_kind
 from .encoder import IndexEncoder
 
 
@@ -111,9 +113,9 @@ def state_graphs(kind: str, task, lifted: LiftedTask | None = None,
 
     slg takes a StripsTask and flg an FdrTask. llg takes the ground
     StripsTask with the lifted task it came from and its grounding map, and
-    encodes states through `build_llg` with the given index encoder (default
-    `IndexEncoder()`). The returned function maps a state as the task's
-    `decode` returns it to that state's graph."""
+    encodes the atoms of each state with `llg_graphs` and the given index
+    encoder (default `IndexEncoder()`). The returned function maps a state
+    as the task's `decode` returns it to that state's graph."""
     if kind == "slg":
         if not isinstance(task, StripsTask):
             raise TypeError("slg encodes propositional tasks")
@@ -126,8 +128,8 @@ def state_graphs(kind: str, task, lifted: LiftedTask | None = None,
         if lifted is None or gmap is None or not isinstance(task, StripsTask):
             raise TypeError("llg encodes a ground task through its lifted task "
                             "and grounding map")
-        encoder = encoder or IndexEncoder()
-        return lambda state: build_llg(lifted, ground_state_atoms(gmap, state), encoder)
+        graph_of = llg_graphs(lifted, encoder)
+        return lambda state: graph_of(ground_state_atoms(gmap, state))
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
@@ -141,16 +143,16 @@ def build_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
     return flg_graphs(task)(state)
 
 
-def build_llg(task: LiftedTask, state: frozenset[Atom],
-              encoder: IndexEncoder | None = None) -> LearningGraph:
+def llg_graphs(task: LiftedTask, encoder: IndexEncoder | None = None
+               ) -> Callable[[frozenset[Atom]], LearningGraph]:
     """Lifted encoding: a schema subgraph wiring predicates through
     per-atom relay and argument-index nodes into schemas, plus an instance
     subgraph for the atoms of state and goal. Argument-index nodes carry
-    the injective index embedding; everything else a zero index part."""
+    the injective index embedding; everything else a zero index part. A
+    state atom with an undeclared predicate or object raises KeyError."""
     if encoder is None:
         encoder = IndexEncoder()
     T = encoder.dim
-    kind: GraphKind = llg_kind(T)
 
     names: list[str] = []
     base_bits: list[tuple[float, float, float, float, float]] = []
@@ -191,22 +193,53 @@ def build_llg(task: LiftedTask, state: frozenset[Atom],
                         target = obj_node[term]  # schema body mentions a constant
                     edges.append((arg, target, f))
 
-    for atom in sorted(state | task.goal, key=str):
-        bits = (0, 0, 0, float(atom in state), float(atom in task.goal))
-        atom_node = new_node(str(atom), bits)
-        edges.append((atom_node, pred_node[atom.predicate], "gamma"))
-        for i, obj in enumerate(atom.args, start=1):
-            arg = new_node(f"{atom}:{i}", (0, 0, 0, 0, 0), index=i)
-            edges.append((atom_node, arg, "gamma"))
-            edges.append((arg, obj_node[obj], "gamma"))
-
-    n = len(names)
-    features = np.zeros((n, 5 + T), dtype=np.float64)
-    for node in range(n):
-        features[node, :5] = base_bits[node]
+    features = np.zeros((len(names), 5 + T), dtype=np.float64)
+    for node, bits in enumerate(base_bits):
+        features[node, :5] = bits
         if pe_index[node] is not None:
             features[node, 5:] = encoder.pe(pe_index[node])
-    color_keys = tuple(
-        base_bits[node] + (pe_index[node],) for node in range(n))
-    return LearningGraph(kind, features, edges, tuple(names),
-                         color_keys=color_keys, seed=encoder.seed)
+    template = LearningGraph(llg_kind(T), features, edges, tuple(names),
+                             color_keys=tuple(b + (i,) for b, i in zip(base_bits, pe_index)),
+                             seed=encoder.seed)
+    first = template.num_nodes
+    goal = task.goal
+
+    def graph(state: frozenset[Atom]) -> LearningGraph:
+        # The instance subgraph: the same nodes, bits and color keys that
+        # new_node would give, with the feature rows set per column.
+        names, keys, edges = [], [], []
+        in_state, in_goal, args, indexes = [], [], [], []
+        for atom in sorted(state | goal, key=str):
+            atom_node, name = first + len(names), str(atom)
+            flags = (float(atom in state), float(atom in goal))
+            names.append(name)
+            keys.append((0, 0, 0, *flags, None))
+            if flags[0]:
+                in_state.append(atom_node)
+            if flags[1]:
+                in_goal.append(atom_node)
+            edges.append((atom_node, pred_node[atom.predicate], "gamma"))
+            for i, obj in enumerate(atom.args, start=1):
+                arg = first + len(names)
+                names.append(f"{name}:{i}")
+                keys.append((0, 0, 0, 0, 0, i))
+                args.append(arg)
+                indexes.append(i)
+                edges.append((atom_node, arg, "gamma"))
+                edges.append((arg, obj_node[obj], "gamma"))
+        rows = np.zeros((first + len(names), 5 + T), dtype=np.float64)
+        rows[:first] = template.features
+        rows[in_state, 3] = 1.0
+        rows[in_goal, 4] = 1.0
+        if args:
+            rows[args, 5:] = [encoder.pe(i) for i in indexes]
+        return template.extended(rows, edges, template.node_names + tuple(names),
+                                 template.color_keys + tuple(keys))
+
+    return graph
+
+
+def build_llg(task: LiftedTask, state: frozenset[Atom],
+              encoder: IndexEncoder | None = None) -> LearningGraph:
+    """The lifted graph of one state (see `llg_graphs`)."""
+    return llg_graphs(task, encoder)(state)

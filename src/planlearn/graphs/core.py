@@ -70,9 +70,13 @@ class LearningGraph:
     plus index identity, and when they are empty WL colors each node by its
     feature row.
 
-    Graphs compare and hash by identity. The edge storage (edge list,
-    adjacency cache and the aggregation plans `nn.model` keys by hidden
-    width) is shared by every `with_features` copy.
+    Graphs compare and hash by identity. Edge storage is the edge list,
+    the per-label adjacency arrays and `_plans`, which maps a label to the
+    aggregation-plan entries `nn.model` keeps for it by hidden width (other
+    keys hold entries of the whole graph, such as its readout index). A
+    `with_features` copy shares all of it. An `extended` graph shares the
+    adjacency arrays and plan entries of every label its new edges do not
+    use, and builds the rest for itself.
     """
 
     kind: GraphKind
@@ -88,16 +92,25 @@ class LearningGraph:
         n, d = self.features.shape
         if d != self.kind.dim:
             raise ValueError(f"feature dim {d} != {self.kind.dim} for kind {self.kind.name}")
+        self._check_edges(self.edges, 0)
+
+    def _check_edges(self, edges, first_new: int):
+        """Raise on an edge with an unknown label, a self-loop, an endpoint
+        outside the node range, one below `first_new` on both ends, or a
+        second copy of an undirected edge."""
+        n = self.num_nodes
         labels = set(self.kind.labels)
         seen = set()
-        for u, v, lab in self.edges:
+        for u, v, lab in edges:
             if lab not in labels:
                 raise ValueError(f"edge label {lab!r} not in {sorted(labels)}")
             if u == v:
                 raise ValueError(f"self-loop at node {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside node range")
-            key = (min(u, v), max(u, v), lab)
+            if u < first_new and v < first_new:
+                raise ValueError(f"appended edge ({u},{v}) touches no appended node")
+            key = (u, v, lab) if u < v else (v, u, lab)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
@@ -120,6 +133,38 @@ class LearningGraph:
         g._plans = self._plans
         return g
 
+    def extended(self, features: np.ndarray, edges: list[tuple[int, int, str]],
+                 node_names: tuple[str, ...], color_keys: tuple) -> "LearningGraph":
+        """This graph with nodes and edges appended: `features`,
+        `node_names` and `color_keys` cover every node, this graph's first,
+        and `edges` lists only the new edges, each touching a new node, so
+        only they are checked and indexed. Labels the new edges do not use
+        keep this graph's adjacency arrays and plan entries by identity; the
+        seed is kept."""
+        n, d = features.shape
+        if n < self.num_nodes or d != self.features.shape[1]:
+            raise ValueError("extended features must append rows to the template's")
+        g = LearningGraph.__new__(LearningGraph)
+        g.kind = self.kind
+        g.features = features
+        g.edges = self.edges + edges
+        g.node_names = node_names
+        g.color_keys = color_keys
+        g.seed = self.seed
+        g._check_edges(edges, self.num_nodes)
+        new = _index(self.kind.labels, edges)
+        g._adjacency = {}
+        g._plans = {}
+        for lab in self.kind.labels:
+            dst, src = self.adjacency(lab)
+            if len(new[lab][0]) == 0:
+                g._adjacency[lab] = (dst, src)
+                g._plans[lab] = self._plans.setdefault(lab, {})
+            else:
+                g._adjacency[lab] = tuple(np.concatenate(pair) for pair in
+                                          zip((dst, src), new[lab]))
+        return g
+
     @property
     def num_nodes(self) -> int:
         return self.features.shape[0]
@@ -133,14 +178,7 @@ class LearningGraph:
         edge (u, v) in edge order as the adjacent pair u<-v, v<-u. The first
         call indexes every label in one pass over the edges."""
         if not self._adjacency:
-            pairs = {lab: ([], []) for lab in self.kind.labels}
-            for u, v, lab in self.edges:
-                dst, src = pairs[lab]
-                dst += (u, v)
-                src += (v, u)
-            for lab, (dst, src) in pairs.items():
-                self._adjacency[lab] = (np.asarray(dst, dtype=np.int64),
-                                        np.asarray(src, dtype=np.int64))
+            self._adjacency.update(_index(self.kind.labels, self.edges))
         return self._adjacency[label]
 
     def label_counts(self) -> dict[str, int]:
@@ -148,3 +186,15 @@ class LearningGraph:
         for _, _, lab in self.edges:
             counts[lab] += 1
         return counts
+
+
+def _index(labels, edges) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """label -> (dst, src) int64 arrays of the edges, each edge (u, v) in
+    order as the adjacent pair u<-v, v<-u."""
+    pairs = {lab: ([], []) for lab in labels}
+    for u, v, lab in edges:
+        dst, src = pairs[lab]
+        dst += (u, v)
+        src += (v, u)
+    return {lab: (np.asarray(dst, dtype=np.int64), np.asarray(src, dtype=np.int64))
+            for lab, (dst, src) in pairs.items()}

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import json
-
-import numpy as np
-
 from ..errors import finite_json
-from .core import GraphKind, LearningGraph
+from .core import LearningGraph
 
 _DOT_COLORS = {
     "pre": "black", "add": "blue", "del": "red",
@@ -31,16 +27,6 @@ def graph_to_json(graph: LearningGraph, output="graph JSON") -> str:
         "edges": [[u, v, lab] for u, v, lab in graph.edges],
     }
     return finite_json(payload, output, indent=1)
-
-
-def graph_from_json(text: str) -> LearningGraph:
-    payload = json.loads(text)
-    kind = GraphKind(payload["kind"], payload.get("T", 0))
-    nodes = sorted(payload["nodes"], key=lambda n: n["id"])
-    features = np.array([n["feature"] for n in nodes], dtype=np.float64)
-    names = tuple(n.get("name", str(n["id"])) for n in nodes)
-    edges = [(u, v, lab) for u, v, lab in payload["edges"]]
-    return LearningGraph(kind, features, edges, names, seed=payload.get("seed", 0))
 
 
 def graph_to_dot(graph: LearningGraph) -> str:

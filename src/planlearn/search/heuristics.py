@@ -64,9 +64,12 @@ class ModelHeuristic:
 
     The graph function of the model's encoding is bound once per task with
     `state_graphs`, the same builder training uses: slg and flg rewrite the
-    state column of a per-task template, llg rebuilds the instance subgraph
-    per state. llg models need the lifted task and grounding map; their
-    index embeddings default to the model's seed, as in training.
+    state column of a per-task template, llg appends each state's instance
+    nodes and gamma edges to a per-task schema template. Either way a state
+    graph shares its template's plan entries (all of them for slg and flg,
+    the schema labels' for llg), so a forward builds at most gamma's entry
+    and the readout index. llg models need the lifted task and grounding
+    map; their index embeddings default to the model's seed, as in training.
     """
 
     def __init__(self, model: MpnnModel, task, lifted: LiftedTask | None = None,

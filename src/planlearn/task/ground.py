@@ -5,7 +5,7 @@ static when it never occurs in any schema's add or delete list; instantiations
 whose static preconditions do not hold in the initial state are dropped, and
 static facts are then removed from the ground task entirely (they can never
 change). Instantiations whose bound add and delete sets overlap are rejected
-with a warning.
+and reported once per schema, with their count, at INFO level.
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def ground(task: LiftedTask, cap: int = DEFAULT_INSTANTIATION_CAP,
 
     actions: list[StripsAction] = []
     bindings: list[tuple[str, tuple[str, ...]]] = []
+    rejected: dict[str, list[tuple[str, ...]]] = {}
     for schema in task.schemas:
         for combo in itertools.product(*candidates(schema)):
             binding = dict(zip(schema.params, combo))
@@ -104,8 +105,7 @@ def ground(task: LiftedTask, cap: int = DEFAULT_INSTANTIATION_CAP,
             add = {_bind(a, binding) for a in schema.add}
             dele = {_bind(a, binding) for a in schema.dele}
             if add & dele:
-                log.warning("rejecting %s%s: add and delete overlap after binding",
-                            schema.name, combo)
+                rejected.setdefault(schema.name, []).append(combo)
                 continue
             name = f"({schema.name} {' '.join(combo)})" if combo else f"({schema.name})"
             # Atoms first seen here get ids in str order, not set order, which
@@ -118,6 +118,9 @@ def ground(task: LiftedTask, cap: int = DEFAULT_INSTANTIATION_CAP,
                 schema.cost))
             bindings.append((schema.name, combo))
 
+    for name, combos in rejected.items():
+        log.info("rejected %d binding(s) of %s, first %s: add and delete overlap "
+                 "after binding", len(combos), name, combos[0])
     init = frozenset(prop_ids[a] for a in fluent_init)
     goal_ids = set()
     for atom in sorted(task.goal, key=str):

@@ -13,14 +13,13 @@ Grammar (UTF-8, one record per line, see docs/formats.md):
     init <ids...>
     goal <ids...>
 
-Dump followed by load yields an identical task (same ids), which is the
-round-trip identity the golden tests rely on.
+`planlearn ground` writes it; only the tests read it back, checking that
+the round trip gives an identical task (same ids).
 """
 
 from __future__ import annotations
 
-from ..errors import ParseError
-from .model import StripsAction, StripsTask
+from .model import StripsTask
 
 MAGIC = "planlearn-strips"
 VERSION = 1
@@ -38,58 +37,3 @@ def dump_strips(task: StripsTask) -> str:
     out.append("init " + " ".join(str(p) for p in sorted(task.init)))
     out.append("goal " + " ".join(str(p) for p in sorted(task.goal)))
     return "\n".join(out) + "\n"
-
-
-def load_strips(text: str) -> StripsTask:
-    lines = text.splitlines()
-    pos = 0
-
-    def next_line(expected: str) -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ParseError("unexpected end of dump", line=pos + 1, expected=expected)
-        line = lines[pos]
-        pos += 1
-        return line
-
-    header = next_line("header").split()
-    if len(header) != 2 or header[0] != MAGIC:
-        raise ParseError("not a task dump", line=1, expected=MAGIC)
-    if header[1] != str(VERSION):
-        raise ParseError(f"unsupported dump version {header[1]}", line=1)
-
-    def keyword_count(keyword: str) -> int:
-        parts = next_line(keyword).split()
-        if len(parts) != 2 or parts[0] != keyword:
-            raise ParseError(f"got '{' '.join(parts)}'", line=pos, expected=f"{keyword} <count>")
-        try:
-            return int(parts[1])
-        except ValueError:
-            raise ParseError("count must be an integer", line=pos) from None
-
-    def id_list(keyword: str) -> frozenset[int]:
-        parts = next_line(keyword).split()
-        if not parts or parts[0] != keyword:
-            raise ParseError(f"got '{' '.join(parts)}'", line=pos, expected=keyword)
-        try:
-            return frozenset(int(tok) for tok in parts[1:])
-        except ValueError:
-            raise ParseError("ids must be integers", line=pos) from None
-
-    n_props = keyword_count("props")
-    props = tuple(next_line("proposition name") for _ in range(n_props))
-    n_actions = keyword_count("actions")
-    actions = []
-    for _ in range(n_actions):
-        parts = next_line("action").split(maxsplit=2)
-        if len(parts) < 3 or parts[0] != "action":
-            raise ParseError("malformed action line", line=pos, expected="action <cost> <name>")
-        try:
-            cost = int(parts[1])
-        except ValueError:
-            raise ParseError("action cost must be an integer", line=pos) from None
-        name = parts[2]
-        actions.append(StripsAction(name, id_list("pre"), id_list("add"), id_list("del"), cost))
-    init = id_list("init")
-    goal = id_list("goal")
-    return StripsTask(props, tuple(actions), init, goal)

@@ -1,20 +1,23 @@
 """Task transformations, benchmark instances, state enumeration, blind
-search, measurements and reference implementations (successors, h+, graph
-builders, the network) that only the tests need."""
+search, measurements, readers of the CLI's task and graph dumps and
+reference implementations (successors, h+, graph builders, the network)
+that only the tests need."""
 
 import heapq
 import itertools
+import json
 from collections import deque
 
 import numpy as np
 
 from planlearn import bench
-from planlearn.errors import BudgetExceeded
-from planlearn.graphs import IndexEncoder, LearningGraph, flg_kind, slg_kind
+from planlearn.errors import BudgetExceeded, ParseError
+from planlearn.graphs import GraphKind, IndexEncoder, LearningGraph, flg_kind, llg_kind, slg_kind
 from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
 from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.seeding import derive_seed
-from planlearn.task import FdrTask, StripsTask, ground, parse_pddl
+from planlearn.task import Atom, FdrTask, LiftedTask, StripsAction, StripsTask, ground, parse_pddl
+from planlearn.task.interchange import MAGIC, VERSION
 from planlearn.task.model import initial_state, successors
 
 
@@ -30,6 +33,73 @@ def bench_task(domain: str, size: int, copy: int = 0) -> StripsTask:
     """The ground task of a seeded benchmark instance."""
     text = bench.GENERATORS[domain](size, seed=derive_seed(0, f"{domain}-{size}-{copy}"))
     return ground(parse_pddl(bench.DOMAIN_TEXT[domain], text))[0]
+
+
+def load_strips(text: str) -> StripsTask:
+    """The task a `task.strips` dump (`planlearn.task.dump_strips`) holds."""
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line(expected: str) -> str:
+        nonlocal pos
+        if pos >= len(lines):
+            raise ParseError("unexpected end of dump", line=pos + 1, expected=expected)
+        line = lines[pos]
+        pos += 1
+        return line
+
+    header = next_line("header").split()
+    if len(header) != 2 or header[0] != MAGIC:
+        raise ParseError("not a task dump", line=1, expected=MAGIC)
+    if header[1] != str(VERSION):
+        raise ParseError(f"unsupported dump version {header[1]}", line=1)
+
+    def keyword_count(keyword: str) -> int:
+        parts = next_line(keyword).split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise ParseError(f"got '{' '.join(parts)}'", line=pos, expected=f"{keyword} <count>")
+        try:
+            return int(parts[1])
+        except ValueError:
+            raise ParseError("count must be an integer", line=pos) from None
+
+    def id_list(keyword: str) -> frozenset[int]:
+        parts = next_line(keyword).split()
+        if not parts or parts[0] != keyword:
+            raise ParseError(f"got '{' '.join(parts)}'", line=pos, expected=keyword)
+        try:
+            return frozenset(int(tok) for tok in parts[1:])
+        except ValueError:
+            raise ParseError("ids must be integers", line=pos) from None
+
+    n_props = keyword_count("props")
+    props = tuple(next_line("proposition name") for _ in range(n_props))
+    n_actions = keyword_count("actions")
+    actions = []
+    for _ in range(n_actions):
+        parts = next_line("action").split(maxsplit=2)
+        if len(parts) < 3 or parts[0] != "action":
+            raise ParseError("malformed action line", line=pos, expected="action <cost> <name>")
+        try:
+            cost = int(parts[1])
+        except ValueError:
+            raise ParseError("action cost must be an integer", line=pos) from None
+        name = parts[2]
+        actions.append(StripsAction(name, id_list("pre"), id_list("add"), id_list("del"), cost))
+    init = id_list("init")
+    goal = id_list("goal")
+    return StripsTask(props, tuple(actions), init, goal)
+
+
+def graph_from_json(text: str) -> LearningGraph:
+    """The graph a `graph.json` dump (`planlearn.graphs.graph_to_json`) holds."""
+    payload = json.loads(text)
+    kind = GraphKind(payload["kind"], payload.get("T", 0))
+    nodes = sorted(payload["nodes"], key=lambda n: n["id"])
+    features = np.array([n["feature"] for n in nodes], dtype=np.float64)
+    names = tuple(n.get("name", str(n["id"])) for n in nodes)
+    edges = [(u, v, lab) for u, v, lab in payload["edges"]]
+    return LearningGraph(kind, features, edges, names, seed=payload.get("seed", 0))
 
 
 def reference_successors(task: StripsTask, state: int) -> list[tuple[int, int]]:
@@ -218,6 +288,77 @@ def reference_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
         for v, d in a.eff:
             edges.append((value_node[(v, d)], node, "eff"))
     return LearningGraph(flg_kind(), features, edges, tuple(names))
+
+
+def reference_llg(task: LiftedTask, state: frozenset[Atom],
+                  encoder: IndexEncoder | None = None) -> LearningGraph:
+    """Lifted encoding: a schema subgraph wiring predicates through
+    per-atom relay and argument-index nodes into schemas, plus an instance
+    subgraph for the atoms of state and goal. Argument-index nodes carry
+    the injective index embedding; everything else a zero index part."""
+    if encoder is None:
+        encoder = IndexEncoder()
+    T = encoder.dim
+    kind: GraphKind = llg_kind(T)
+
+    names: list[str] = []
+    base_bits: list[tuple[float, float, float, float, float]] = []
+    pe_index: list[int | None] = []
+
+    def new_node(name, bits, index=None) -> int:
+        names.append(name)
+        base_bits.append(bits)
+        pe_index.append(index)
+        return len(names) - 1
+
+    pred_node = {p.name: new_node(p.name, (1, 0, 0, 0, 0)) for p in task.predicates}
+    obj_node = {o: new_node(o, (0, 1, 0, 0, 0)) for o in task.objects}
+
+    edges: list[tuple[int, int, str]] = []
+    for o in task.objects:
+        for p in task.predicates:
+            edges.append((obj_node[o], pred_node[p.name], "nu"))
+
+    for schema in task.schemas:
+        a_node = new_node(schema.name, (0, 0, 1, 0, 0))
+        var_node = {}
+        for param in schema.params:
+            var_node[param] = new_node(f"{schema.name}:{param}", (0, 0, 0, 0, 0))
+            edges.append((a_node, var_node[param], "nu"))
+        for f, atoms in (("pre", schema.pre), ("add", schema.add), ("del", schema.dele)):
+            for atom in sorted(atoms, key=str):
+                relay = new_node(f"{schema.name}:{f}:{atom}", (0, 0, 0, 0, 0))
+                edges.append((pred_node[atom.predicate], relay, f))
+                if not atom.args:
+                    edges.append((relay, a_node, f))
+                    continue
+                for i, term in enumerate(atom.args, start=1):
+                    arg = new_node(f"{schema.name}:{f}:{atom}:{i}", (0, 0, 0, 0, 0), index=i)
+                    edges.append((relay, arg, f))
+                    target = var_node.get(term)
+                    if target is None:
+                        target = obj_node[term]  # schema body mentions a constant
+                    edges.append((arg, target, f))
+
+    for atom in sorted(state | task.goal, key=str):
+        bits = (0, 0, 0, float(atom in state), float(atom in task.goal))
+        atom_node = new_node(str(atom), bits)
+        edges.append((atom_node, pred_node[atom.predicate], "gamma"))
+        for i, obj in enumerate(atom.args, start=1):
+            arg = new_node(f"{atom}:{i}", (0, 0, 0, 0, 0), index=i)
+            edges.append((atom_node, arg, "gamma"))
+            edges.append((arg, obj_node[obj], "gamma"))
+
+    n = len(names)
+    features = np.zeros((n, 5 + T), dtype=np.float64)
+    for node in range(n):
+        features[node, :5] = base_bits[node]
+        if pe_index[node] is not None:
+            features[node, 5:] = encoder.pe(pe_index[node])
+    color_keys = tuple(
+        base_bits[node] + (pe_index[node],) for node in range(n))
+    return LearningGraph(kind, features, edges, tuple(names),
+                         color_keys=color_keys, seed=encoder.seed)
 
 
 # The message-passing network written with np.add.at and np.maximum.at, the

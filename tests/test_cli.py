@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -437,3 +438,53 @@ def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch):
     assert err == (f"error: {out / 'oracle.json'} not written: it would hold NaN or an "
                    "infinity, which JSON cannot encode\n")
     assert not (out / "oracle.json").exists()
+
+
+@pytest.mark.parametrize("out_dir", [True, False], ids=["out-dir", "stdout-only"])
+def test_non_finite_oracle_value_writes_nothing(tmp_path, capsys, monkeypatch, out_dir):
+    """A NaN oracle value gives one error line, no NaN on stdout and no
+    file in --out-dir, run.json included."""
+    from planlearn.heuristics import HeuristicValue
+    from planlearn.search.heuristics import ORACLES
+
+    monkeypatch.setitem(ORACLES, "hmax", lambda task, state: HeuristicValue(float("nan")))
+    out = tmp_path / "out"
+    code = run(["oracle", "--domain", DOMAIN, "--problem", PROBLEM, "--heuristic", "hmax",
+                *(["--out-dir", str(out)] if out_dir else [])])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+    assert not (out / "run.json").exists() and not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", [["train", "--kind", "slg"], ["experiment"]],
+                         ids=["train", "experiment"])
+@pytest.mark.parametrize("damage", ["truncated-instance", "no-splits", "text-split"])
+def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcommand, damage):
+    """A suite with a truncated instance, or a manifest without a required key
+    or with a split that is not a list of sizes, gives one error line naming
+    the file at fault, exit 1 and no output."""
+    suite = tmp_path / "suite"
+    shutil.copytree(gripper_suite.parent, suite)
+    manifest = suite / "manifest.json"
+    if damage == "truncated-instance":
+        bad = suite / "train" / "p00.pddl"
+        bad.write_text(bad.read_text().rstrip()[:-1])
+        expected = f"error: {bad}: unbalanced parenthesis"
+    elif damage == "no-splits":
+        payload = json.loads(manifest.read_text())
+        del payload["splits"]
+        manifest.write_text(json.dumps(payload))
+        expected = f"error: {manifest}: manifest lacks 'splits'"
+    else:
+        payload = json.loads(manifest.read_text())
+        payload["splits"]["train"] = "1:2"
+        manifest.write_text(json.dumps(payload))
+        expected = f"error: {manifest}: split 'train' is not a list of integers"
+    capsys.readouterr()
+    code = run([*subcommand, "--suite", str(manifest), "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(expected), err
+    assert not (tmp_path / "out").exists()

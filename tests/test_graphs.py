@@ -8,7 +8,6 @@ from planlearn.graphs import (
     build_flg,
     build_llg,
     build_slg,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
 )
@@ -24,7 +23,7 @@ from planlearn.task import (
     StripsTask,
 )
 
-from helpers import min_pairwise_distance
+from helpers import graph_from_json, min_pairwise_distance
 
 
 def test_slg_single_action_example():

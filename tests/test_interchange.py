@@ -4,7 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from planlearn.errors import ParseError
 from planlearn.expressiveness import random_unit_task
-from planlearn.task import dump_strips, load_strips
+from planlearn.task import dump_strips
+
+from helpers import load_strips
 
 
 def test_round_trip_identity(gripper_ground):

@@ -3,8 +3,9 @@ and who keeps it.
 
 The backward scatters into edge sources through the destination index,
 which is exact only because `LearningGraph.adjacency` lists every edge's two
-orientations as an adjacent pair; plans are keyed by hidden width, kept by a
-graph's edge storage for one-graph batches and by nobody for several.
+orientations as an adjacent pair; plan entries are keyed by label and hidden
+width, kept by a graph's edge storage for one-graph batches and by nobody for
+several.
 """
 
 import numpy as np
@@ -103,7 +104,8 @@ def test_plans_are_keyed_by_width(gripper_ground):
         for aggregator in nn_model.AGGREGATORS:
             model = init_model(graph.kind, 3, width, aggregator, "max", seed=width)
             assert forward(model, graph) == forward(model, build_slg(task, task.init))
-    assert sorted(graph._plans) == [8, 16]
+    assert sorted(graph._plans) == sorted([*graph.kind.labels, nn_model._READOUT])
+    assert all(sorted(by_width) == [8, 16] for by_width in graph._plans.values())
 
 
 def test_one_graph_batches_share_the_template_plan(gripper_ground):
@@ -113,9 +115,9 @@ def test_one_graph_batches_share_the_template_plan(gripper_ground):
     assert first._plans is second._plans
     model = init_model(first.kind, 2, 8)
     forward(model, first)
-    plan = first._plans[8]
+    entry = first._plans["pre"][8]
     forward(model, second)
-    assert second._plans[8] is plan
+    assert second._plans["pre"][8] is entry
 
 
 def test_several_graph_batches_keep_no_plan(gripper_ground):
