@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import BudgetExceeded, InvalidSize, ParseError, finite_json, named_input
-from ..graphs.builders import encoded_task, state_graphs
+from ..graphs.builders import state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import optimal_plan
 from ..heuristics.labels import label_dataset
@@ -141,6 +141,14 @@ def _read_manifest(text: str) -> tuple[SuiteSpec, list[dict]]:
         raise ParseError("instances is not a list")
     for i, entry in enumerate(manifest["instances"]):
         _require(entry, ("name", "split", "size", "path"), f"instance {i}")
+        for key in ("name", "path"):
+            if not isinstance(entry[key], str):
+                raise ParseError(f"instance {i}: {key} {entry[key]!r} is not a string")
+        split, size = entry["split"], entry["size"]
+        if split not in ("train", "validate", "test"):
+            raise ParseError(f"instance {i}: split {split!r} is not train, validate or test")
+        if type(size) is not int or size not in splits[split]:
+            raise ParseError(f"instance {i}: size {size!r} is not a size of split {split!r}")
     spec = SuiteSpec(manifest["domain"], tuple(splits["train"]), tuple(splits["validate"]),
                      tuple(splits["test"]), manifest["seed"])
     return spec, manifest["instances"]
@@ -168,15 +176,14 @@ def build_training_set(instances: list[Instance], graph_kind: str,
                        state_cap: int = 200_000) -> list[LabeledGraphSample]:
     """Solve each instance optimally, label the visited states, and encode
     them as graphs of the requested kind with the builder `state_graphs`
-    binds once per instance to the task `encoded_task` picks. Instances
+    binds once per instance to its ground task. Instances
     whose optimal search exceeds the state budget are skipped with a
     warning."""
     encoder = IndexEncoder(index_dim, seed=encoder_seed)
     samples: list[LabeledGraphSample] = []
     for inst in instances:
         strips, gmap = ground(inst.task)
-        task = encoded_task(graph_kind, strips)
-        graph_of = state_graphs(graph_kind, task, inst.task, gmap, encoder)
+        graph_of = state_graphs(graph_kind, strips, inst.task, gmap, encoder)
         try:
             plan = optimal_plan(strips, state_cap=state_cap)
         except BudgetExceeded:
@@ -186,6 +193,6 @@ def build_training_set(instances: list[Instance], graph_kind: str,
         if plan is None:
             log.warning("skipping %s: unsolvable", inst.name)
             continue
-        for state, target in label_dataset(task, plan):
+        for state, target in label_dataset(strips, plan):
             samples.append(LabeledGraphSample(graph_of(state), float(target)))
     return samples

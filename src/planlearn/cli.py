@@ -22,7 +22,7 @@ from .bench import SuiteSpec, build_training_set, default_suite, generate, load_
 from .bench.domains import GENERATORS
 from .errors import PlanlearnError, finite_json, named_input
 from .expressiveness import run_theory_checks
-from .graphs import IndexEncoder, encoded_task, graph_to_dot, graph_to_json, state_graphs
+from .graphs import IndexEncoder, graph_to_dot, graph_to_json, state_graphs
 from .nn import TrainConfig, load_model, save_model, train
 from .nn.model import AGGREGATORS, READOUTS
 from .search import (
@@ -112,8 +112,7 @@ def cmd_graph(args) -> int:
     if args.kind == "llg" and lifted is None:
         raise UsageError("the lifted encoding needs --domain/--problem input")
     encoder = IndexEncoder(args.index_dim, seed=args.seed) if args.kind == "llg" else None
-    task = encoded_task(args.kind, strips, fdr)
-    graph = state_graphs(args.kind, task, lifted, gmap, encoder)(task.init)
+    graph = state_graphs(args.kind, strips, lifted, gmap, encoder, fdr)(strips.init)
     out = _out_dir(args)
     (out / "graph.json").write_text(graph_to_json(graph, out / "graph.json") + "\n")
     (out / "graph.dot").write_text(graph_to_dot(graph))
@@ -161,17 +160,16 @@ def cmd_train(args) -> int:
 
 
 def _heuristic(name: str, model, strips, gmap, lifted, fdr=None):
-    """(search task, heuristic) for "blind", an ORACLES name or "model" with its
-    loaded model. The search task is the task the heuristic reads, which for
-    finite-domain models is the finite-domain one (see `encoded_task`)."""
+    """The heuristic on `strips` for "blind", an ORACLES name or "model" with
+    its loaded model. Finite-domain models read `fdr`, the task `strips` is
+    the view of, when there is one (see `state_graphs`)."""
     if name == "blind":
-        return strips, ConstantHeuristic(0.0)
+        return ConstantHeuristic(0.0)
     if name in ORACLES:
-        return strips, OracleHeuristic(strips, name)
+        return OracleHeuristic(strips, name)
     if model.kind.name == "llg" and lifted is None:
         raise UsageError("lifted-encoding models need --domain/--problem input")
-    task = encoded_task(model.kind.name, strips, fdr)
-    return task, ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
+    return ModelHeuristic(model, strips, lifted=lifted, gmap=gmap, fdr=fdr)
 
 
 def cmd_solve(args) -> int:
@@ -180,15 +178,14 @@ def cmd_solve(args) -> int:
     if args.heuristic == "model" and not args.model:
         raise UsageError("--heuristic model needs --model FILE")
     model = load_model(args.model) if args.heuristic == "model" else None
-    search_task, heuristic = _heuristic(args.heuristic, model, strips, gmap, lifted, fdr)
-    result = gbfs(search_task, heuristic, config)
+    result = gbfs(strips, _heuristic(args.heuristic, model, strips, gmap, lifted, fdr), config)
     out = _out_dir(args)
     (out / "result.json").write_text(
         finite_json(result.to_json_dict(), out / "result.json", indent=1) + "\n")
     (out / "timings.json").write_text(
         json.dumps({"wall_nanos": result.wall_nanos}) + "\n")
     if result.status == "solved":
-        (out / "plan.txt").write_text(format_plan(search_task, result))
+        (out / "plan.txt").write_text(format_plan(strips, result))
         summary = (f"solved: cost {result.plan_cost}, {result.expansions} expansions, "
                    f"{result.evaluations} evaluations -> {out / 'plan.txt'}")
     else:
@@ -250,9 +247,6 @@ def _experiment_heuristics(text: str) -> list[tuple[str, str, object]]:
             raise UsageError(f"unknown --heuristics spec {spec!r}; use blind, "
                              f"{', '.join(ORACLES)} or model:PATH")
         model = load_model(path)
-        if model.kind.name == "flg":
-            raise UsageError("experiment sweeps run on the propositional view; "
-                             "solve finite-domain models with the solve subcommand")
         heuristics.append((f"model-{model.kind.name}", "model", model))
     return heuristics
 
@@ -271,7 +265,7 @@ def cmd_experiment(args) -> int:
         tasks.append((inst.name, strips))
 
     factories = [(label, lambda task, name=name, model=model:
-                  _heuristic(name, model, task, *grounding[id(task)])[1])
+                  _heuristic(name, model, task, *grounding[id(task)]))
                  for label, name, model in heuristics]
     config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap)
     table = run_experiment(tasks, factories, config)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..graphs.builders import build_flg, build_llg, build_slg, encoded_task
+from ..graphs.builders import build_llg, build_slg, state_graphs
 from ..graphs.encoder import IndexEncoder
 from ..heuristics.exact import h_plus, h_star
 from ..heuristics.relaxation import h_add, h_dp, h_max
@@ -52,11 +52,10 @@ class Verdict:
 def _views(task, seed: int) -> dict:
     """The three encodings of a propositional task at its initial state."""
     encoder = IndexEncoder(4, seed=derive_seed(seed, "theory-pe"))
-    fdr = encoded_task("flg", task)
     lifted = as_lifted(task)
     return {
         "slg": build_slg(task, task.init),
-        "flg": build_flg(fdr, fdr.init),
+        "flg": state_graphs("flg", task)(task.init),
         "llg": build_llg(lifted, strips_state_atoms(task, task.init), encoder),
     }
 

@@ -3,7 +3,9 @@
 Each encoding has one builder that binds a task once and returns a function
 from a state to its graph; `state_graphs` picks the builder for a kind and
 is the one path by which training, model search and `planlearn graph` turn
-states into graphs. The state plays the role of the initial state in the
+states into graphs, always from the states of a propositional task (the
+finite-domain builder reads value tuples, which `state_graphs` maps each
+state to). The state plays the role of the initial state in the
 node features, so a search can re-encode every visited state as a fresh
 subtask. The propositional and finite-domain structures do not depend on
 the state: their builders build one template per task and give each state
@@ -16,11 +18,13 @@ shares the template's adjacency and aggregation plans of the other labels.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 
 import numpy as np
 
 from ..task.ground import GroundingMap, ground_state_atoms
-from ..task.model import Atom, FdrTask, LiftedTask, StripsTask, binary_fdr_view
+from ..task.model import (Atom, FdrTask, LiftedTask, StripsTask, binary_fdr_view,
+                          strips_state_to_fdr)
 from .core import LearningGraph, flg_kind, llg_kind, slg_kind
 from .encoder import IndexEncoder
 
@@ -98,34 +102,39 @@ def flg_graphs(task: FdrTask) -> Callable[[tuple[int, ...]], LearningGraph]:
     return graph
 
 
-def encoded_task(kind: str, strips: StripsTask, fdr: FdrTask | None = None):
-    """The task an encoding reads: flg reads the SAS task, or else the binary
-    view of the propositional one; every other encoding reads `strips`."""
-    if kind != "flg":
-        return strips
-    return fdr if fdr is not None else binary_fdr_view(strips)
+def state_graphs(kind: str, task: StripsTask, lifted: LiftedTask | None = None,
+                 gmap: GroundingMap | None = None, encoder: IndexEncoder | None = None,
+                 fdr: FdrTask | None = None) -> Callable[[frozenset[int]], LearningGraph]:
+    """The function from a state of the ground task, a frozenset of
+    proposition ids as `task.decode` returns it, to its graph in one encoding.
 
-
-def state_graphs(kind: str, task, lifted: LiftedTask | None = None,
-                 gmap: GroundingMap | None = None,
-                 encoder: IndexEncoder | None = None) -> Callable[[object], LearningGraph]:
-    """The per-state graph function of one encoding, bound to a task.
-
-    slg takes a StripsTask and flg an FdrTask. llg takes the ground
-    StripsTask with the lifted task it came from and its grounding map, and
-    encodes the atoms of each state with `llg_graphs` and the given index
-    encoder (default `IndexEncoder()`). The returned function maps a state
-    as the task's `decode` returns it to that state's graph."""
+    slg encodes `task`. flg encodes the value tuple of each state in `fdr`
+    when `task` is `strips_view(fdr)`, as for SAS input, and in
+    `binary_fdr_view(task)`, whose variable p is bit p, otherwise. llg
+    encodes the atoms of each state in the lifted task `task` came from,
+    through its grounding map, with `llg_graphs` and the given index encoder
+    (default `IndexEncoder()`)."""
+    if not isinstance(task, StripsTask):
+        raise TypeError("state graphs are built for the states of a propositional task")
     if kind == "slg":
-        if not isinstance(task, StripsTask):
-            raise TypeError("slg encodes propositional tasks")
         return slg_graphs(task)
     if kind == "flg":
-        if not isinstance(task, FdrTask):
-            raise TypeError("flg encodes finite-domain tasks")
-        return flg_graphs(task)
+        if fdr is None:
+            fdr, n = binary_fdr_view(task), len(task.propositions)
+
+            def to_fdr(state: frozenset[int]) -> tuple[int, ...]:
+                values = tuple([int(p in state) for p in range(n)])
+                if sum(values) != len(state):      # some fact is not a task proposition
+                    raise ValueError("state mentions propositions outside the task")
+                return values
+        elif len(task.propositions) != sum(len(var.values) for var in fdr.variables):
+            raise ValueError("the propositional task is not the view of the finite-domain one")
+        else:
+            to_fdr = partial(strips_state_to_fdr, fdr)
+        graph_of = flg_graphs(fdr)
+        return lambda state: graph_of(to_fdr(state))
     if kind == "llg":
-        if lifted is None or gmap is None or not isinstance(task, StripsTask):
+        if lifted is None or gmap is None:
             raise TypeError("llg encodes a ground task through its lifted task "
                             "and grounding map")
         graph_of = llg_graphs(lifted, encoder)
@@ -136,11 +145,6 @@ def state_graphs(kind: str, task, lifted: LiftedTask | None = None,
 def build_slg(task: StripsTask, state: frozenset[int]) -> LearningGraph:
     """The propositional graph of one state (see `slg_graphs`)."""
     return slg_graphs(task)(state)
-
-
-def build_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
-    """The finite-domain graph of one state (see `flg_graphs`)."""
-    return flg_graphs(task)(state)
 
 
 def llg_graphs(task: LiftedTask, encoder: IndexEncoder | None = None

@@ -2,11 +2,10 @@
 
 These are reference computations for labels, baselines and the
 expressiveness checks; exactness matters, speed only at fixture scale.
-Uniform-cost search runs on the task's search states (packed ints for
-STRIPS); states passed in are frozensets of proposition ids for STRIPS and
-value tuples for FDR. h+ is h* of the relevant delete relaxation: the
-same uniform-cost search on a small delete-free task over the facts that
-the goal needs and the state lacks.
+Uniform-cost search runs on the task's packed search states; states passed
+in are frozensets of proposition ids. h+ is h* of the relevant delete
+relaxation: the same uniform-cost search on a small delete-free task over
+the facts that the goal needs and the state lacks.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
 """Training labels from optimal plans: a plan of length g contributes the
 states it visits with targets g, g-1, ..., 0, each state as a frozenset of
-proposition ids (STRIPS) or a value tuple (FDR)."""
+proposition ids."""
 
 from __future__ import annotations
 
 from ..errors import InvalidPlan
-from ..task.model import initial_state, validate_plan
+from ..task.model import StripsTask, initial_state, validate_plan
 
 
-def label_dataset(task, plan) -> list[tuple[object, int]]:
+def label_dataset(task: StripsTask, plan) -> list[tuple[frozenset[int], int]]:
     check = validate_plan(task, plan)
     if not check.valid:
         raise InvalidPlan(f"cannot label from an invalid plan: {check.reason}")

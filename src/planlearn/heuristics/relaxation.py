@@ -31,17 +31,14 @@ from .values import HeuristicValue, from_float
 @dataclass(frozen=True)
 class RelaxationTable:
     """Converged DP tables: per-proposition and per-action costs (math.inf
-    for unreachable), the iteration count at convergence, and optionally the
-    per-iteration proposition tables."""
+    for unreachable) and the iteration count at convergence."""
 
     prop_cost: tuple[float, ...]
     action_cost: tuple[float, ...]
     iterations: int
-    history: tuple[tuple[float, ...], ...] = ()
 
 
-def relaxation_table(task: StripsTask, state: frozenset[int], which: str,
-                     keep_history: bool = False) -> RelaxationTable:
+def relaxation_table(task: StripsTask, state: frozenset[int], which: str) -> RelaxationTable:
     if which not in ("add", "max"):
         raise ValueError(f"which must be 'add' or 'max', got {which!r}")
     combine = np.add if which == "add" else np.maximum
@@ -50,7 +47,6 @@ def relaxation_table(task: StripsTask, state: frozenset[int], which: str,
     h[np.fromiter(state, dtype=np.intp, count=len(state))] = 0.0
     ha = np.zeros(len(task.actions))
 
-    history = [tuple(h.tolist())] if keep_history else []
     iterations = 0
     while True:
         iterations += 1
@@ -58,14 +54,12 @@ def relaxation_table(task: StripsTask, state: frozenset[int], which: str,
         best = np.minimum.reduceat((ha + inc.cost)[inc.achievers], inc.ach_starts)
         new = h.copy()
         new[inc.ach_props] = np.minimum(h[inc.ach_props], best)
-        if keep_history:
-            history.append(tuple(new.tolist()))
         # Entries are +0.0, positive integer-valued floats or +inf (never NaN
         # or -0.0), so equal bytes means equal tables.
         if new.tobytes() == h.tobytes():
             break
         h = new
-    return RelaxationTable(tuple(h.tolist()), tuple(ha.tolist()), iterations, tuple(history))
+    return RelaxationTable(tuple(h.tolist()), tuple(ha.tolist()), iterations)
 
 
 def _goal_value(task: StripsTask, table: RelaxationTable, which: str) -> float:

@@ -7,7 +7,7 @@ are detected against everything already evaluated; re-opening is disabled.
 One table, the parent of each stored state, serves as the duplicate check
 and the node count. Only fresh states are pushed, so a state enters the
 open list at most once and needs no closed set.
-States are the task's search states (packed ints for STRIPS), and so are the
+States are the packed search states of a StripsTask, and so are the
 states handed to the heuristic. Every returned plan is validated before the
 result is handed back.
 
@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from ..errors import InvalidPlan
-from ..task.model import initial_state, plan_from_parents, successors, validate_plan
+from ..task.model import StripsTask, initial_state, plan_from_parents, successors, validate_plan
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class SearchResult:
         }
 
 
-def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
+def gbfs(task: StripsTask, heuristic, config: SearchConfig | None = None) -> SearchResult:
     config = config or SearchConfig()
     start_ns = time.perf_counter_ns()
     deadline = time.perf_counter() + config.timeout_s
@@ -124,7 +124,7 @@ def gbfs(task, heuristic, config: SearchConfig | None = None) -> SearchResult:
     return result("exhausted")
 
 
-def format_plan(task, result: SearchResult) -> str:
+def format_plan(task: StripsTask, result: SearchResult) -> str:
     """One action name per line plus a trailing cost comment."""
     if result.status != "solved" or result.plan is None:
         raise ValueError(f"no plan to format: search ended {result.status!r}")

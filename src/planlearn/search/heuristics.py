@@ -1,12 +1,12 @@
 """Heuristic adapters for search: oracles, constants and trained models.
 
 A search heuristic exposes evaluate_batch(states) -> list of floats, with
-float('inf') marking states to prune. The states are the task's search
-states (packed ints for STRIPS, value tuples for FDR); the oracle and model
-adapters decode them with `task.decode` before reading them, and the
-constant heuristic never looks at them. A model heuristic turns decoded
-states into graphs with the builder that `graphs.builders.state_graphs`
-binds for its encoding, as training does. Model-backed heuristics clamp outputs
+float('inf') marking states to prune. The states are the packed search
+states of a StripsTask; the oracle and model adapters decode them with
+`task.decode` before reading them, and the constant heuristic never looks
+at them. A model heuristic turns decoded states into graphs with the
+builder that `graphs.builders.state_graphs` binds for its encoding, as
+training does. Model-backed heuristics clamp outputs
 at zero (estimates are cost-to-go) and raise NonFiniteEstimate on NaN or
 infinite outputs, which would otherwise prune a state or break the heap
 order; training never clamps.
@@ -23,7 +23,7 @@ from ..heuristics.exact import h_plus, h_star
 from ..heuristics.relaxation import h_add, h_ff, h_max
 from ..nn.model import MpnnModel, forward_batch
 from ..task.ground import GroundingMap
-from ..task.model import LiftedTask, StripsTask
+from ..task.model import FdrTask, LiftedTask, StripsTask
 
 
 class ConstantHeuristic:
@@ -70,10 +70,13 @@ class ModelHeuristic:
     the schema labels' for llg), so a forward builds at most gamma's entry
     and the readout index. llg models need the lifted task and grounding
     map; their index embeddings default to the model's seed, as in training.
+    flg models read the finite-domain task `fdr` when `task` is its
+    `strips_view`, and the binary view of `task` otherwise.
     """
 
-    def __init__(self, model: MpnnModel, task, lifted: LiftedTask | None = None,
-                 gmap: GroundingMap | None = None, encoder: IndexEncoder | None = None):
+    def __init__(self, model: MpnnModel, task: StripsTask, lifted: LiftedTask | None = None,
+                 gmap: GroundingMap | None = None, encoder: IndexEncoder | None = None,
+                 fdr: FdrTask | None = None):
         kind = model.kind
         if kind.name == "llg":
             encoder = encoder or IndexEncoder(kind.index_dim, seed=model.seed)
@@ -81,7 +84,7 @@ class ModelHeuristic:
                 raise ValueError("encoder dimension must match the model's index dim")
         self.model = model
         self.task = task
-        self._graph_of = state_graphs(kind.name, task, lifted, gmap, encoder)
+        self._graph_of = state_graphs(kind.name, task, lifted, gmap, encoder, fdr)
 
     def evaluate_batch(self, states):
         decode = self.task.decode

@@ -18,6 +18,7 @@ from .model import (
     fdr_state_to_strips,
     initial_state,
     strips_state_atoms,
+    strips_state_to_fdr,
     strips_view,
     successors,
     validate_plan,
@@ -30,6 +31,6 @@ __all__ = [
     "PlanCheck", "Predicate", "Schema", "StripsAction", "StripsTask",
     "as_lifted", "binary_fdr_view", "dump_strips", "fdr_state_to_strips",
     "ground", "ground_state_atoms", "initial_state", "parse_pddl",
-    "parse_sas", "static_predicates", "strips_state_atoms", "strips_view",
-    "successors", "validate_plan",
+    "parse_sas", "static_predicates", "strips_state_atoms", "strips_state_to_fdr",
+    "strips_view", "successors", "validate_plan",
 ]

@@ -1,26 +1,27 @@
 """Task formalisms: lifted, propositional (STRIPS) and finite-domain (FDR).
 
-A STRIPS search state is one Python int with bit p set for proposition p;
-an FDR search state is a tuple of value indexes, one per variable. Each
-ground task class converts between its search states and the plain state
-values of the rest of the package: `encode` turns a STRIPS frozenset of
-proposition ids into its packed int and `decode` turns it back (both are
-the identity on FDR tuples). STRIPS task fields (`init`, `goal`, action
-sets) stay frozensets, and so do the states taken by heuristics, graph
-builders and the CLI; lifted states are frozensets of ground atoms.
+Search, labels and oracles run on one kind of state: a STRIPS search state
+is one Python int with bit p set for proposition p. `StripsTask.encode`
+turns a frozenset of proposition ids into its packed int and `decode` turns
+it back. STRIPS task fields (`init`, `goal`, action sets) stay frozensets,
+and so do the states taken by heuristics, graph builders and the CLI;
+lifted states are frozensets of ground atoms. An FDR task is searched
+through `strips_view`, whose state space is isomorphic to its own with the
+same action ids, names and costs; only the finite-domain graph builder
+reads FDR value tuples (see `strips_state_to_fdr`).
 
-Each ground task class carries its own successor semantics on search
-states: `apply(state, aid)` returns the successor, or None when the action
-is inapplicable, `is_goal(state)` tests the goal and `successors(state)`
+A StripsTask carries the successor semantics on search states:
+`apply(state, aid)` returns the successor, or None when the action is
+inapplicable, `is_goal(state)` tests the goal and `successors(state)`
 returns (action id, successor) pairs in action order, which gbfs's
 first-in-first-out tie-break (and with it breadth-first optimality of blind
-search) relies on. A STRIPS action applies when `state & pre == pre` and
-leads to `(state & keep) | add`, with keep the complement of its delete
-mask; the masks are compiled once per task. `successors` does not test the
-actions one by one: it ORs, per group of 4 propositions, a 16-entry table
-of the actions blocked by the group's missing facts, and walks the set bits
-of the unblocked actions from the lowest, which yields them in ascending
-action id (see `PackedMasks`).
+search) relies on. An action applies when `state & pre == pre` and leads to
+`(state & keep) | add`, with keep the complement of its delete mask; the
+masks are compiled once per task. `successors` does not test the actions
+one by one: it ORs, per group of 4 propositions, a 16-entry table of the
+actions blocked by the group's missing facts, and walks the set bits of the
+unblocked actions from the lowest, which yields them in ascending action id
+(see `PackedMasks`).
 
 All task objects are immutable after construction and safe to share across
 threads; derived tables (a StripsTask's relaxation incidence and packed
@@ -30,6 +31,7 @@ derived only from the immutable fields.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -345,33 +347,6 @@ class FdrTask:
                     raise ValueError(f"{label}: variable {v} assigned twice")
                 seen.add(v)
 
-    def apply(self, state: tuple[int, ...], action_id: int) -> tuple[int, ...] | None:
-        """Successor state, or None when the action is inapplicable."""
-        a = self.actions[action_id]
-        for v, d in a.pre:
-            if state[v] != d:
-                return None
-        new = list(state)
-        for v, d in a.eff:
-            new[v] = d
-        return tuple(new)
-
-    def is_goal(self, state: tuple[int, ...]) -> bool:
-        return all(state[v] == d for v, d in self.goal)
-
-    def successors(self, state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
-        """All (action_id, successor) pairs applicable in state, in action order."""
-        apply = self.apply
-        return [(aid, nxt) for aid in range(len(self.actions))
-                if (nxt := apply(state, aid)) is not None]
-
-    def encode(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        """FDR search states are the tuples themselves."""
-        return state
-
-    def decode(self, state: tuple[int, ...]) -> tuple[int, ...]:
-        return state
-
     @cached_property
     def value_offsets(self) -> tuple[int, ...]:
         """Index of each variable's first value when all values are numbered
@@ -386,14 +361,12 @@ class FdrTask:
 
 # ── state semantics ───────────────────────────────────────────────────────
 
-def initial_state(task):
+def initial_state(task: StripsTask) -> int:
     """The task's initial search state."""
-    if isinstance(task, (StripsTask, FdrTask)):
-        return task.encode(task.init)
-    raise TypeError(f"no state semantics for {type(task).__name__}")
+    return task.encode(task.init)
 
 
-def successors(task, state):
+def successors(task: StripsTask, state: int) -> list[tuple[int, int]]:
     """All (action_id, successor) pairs applicable in a search state, in
     action order."""
     return task.successors(state)
@@ -406,7 +379,7 @@ class PlanCheck:
     reason: str = ""
 
 
-def validate_plan(task, plan) -> PlanCheck:
+def validate_plan(task: StripsTask, plan) -> PlanCheck:
     """Replay the plan from the initial state; valid iff every step applies
     and the final state satisfies the goal. Cost is the sum of action costs."""
     n = len(task.actions)
@@ -468,9 +441,25 @@ def fdr_state_to_strips(task: FdrTask, state: tuple[int, ...]) -> frozenset[int]
     return frozenset(offsets[v] + d for v, d in enumerate(state))
 
 
+def strips_state_to_fdr(task: FdrTask, state: frozenset[int]) -> tuple[int, ...]:
+    """Map a strips_view state to the FDR state it stands for, the inverse of
+    fdr_state_to_strips: each variable takes the value of its one set fact."""
+    offsets = task.value_offsets
+    values = [-1] * len(offsets)
+    for p in state:
+        v = bisect_right(offsets, p) - 1
+        if v < 0 or p - offsets[v] >= len(task.variables[v].values) or values[v] >= 0:
+            raise ValueError(f"fact {p} is outside the view or sets a variable twice")
+        values[v] = p - offsets[v]
+    if -1 in values:
+        raise ValueError("state must assign every variable")
+    return tuple(values)
+
+
 def binary_fdr_view(task: StripsTask) -> FdrTask:
     """Naive FDR encoding of a propositional task: one binary variable per
-    proposition. Successor semantics coincide with the STRIPS ones."""
+    proposition, with value 1 where the proposition holds, so its states
+    and successors match the STRIPS ones state for state."""
     variables = tuple(FdrVariable(p, ("false", "true")) for p in task.propositions)
     actions = []
     for a in task.actions:

@@ -1,6 +1,7 @@
 """Task transformations, benchmark instances, state enumeration, blind
-search, measurements, readers of the CLI's task and graph dumps and
-reference implementations (successors, h+, graph builders, the network)
+search, measurements, readers of the CLI's task and graph dumps, the
+finite-domain graph of one value tuple and reference implementations
+(successors, FDR successor semantics, h+, graph builders, the network)
 that only the tests need."""
 
 import heapq
@@ -13,6 +14,7 @@ import numpy as np
 from planlearn import bench
 from planlearn.errors import BudgetExceeded, ParseError
 from planlearn.graphs import GraphKind, IndexEncoder, LearningGraph, flg_kind, llg_kind, slg_kind
+from planlearn.graphs.builders import flg_graphs
 from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
 from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.seeding import derive_seed
@@ -110,22 +112,55 @@ def reference_successors(task: StripsTask, state: int) -> list[tuple[int, int]]:
             for aid, pre, keep, add in task.masks.actions if state & pre == pre]
 
 
+# The successor semantics of FDR tasks on value tuples, kept verbatim from
+# the FdrTask methods that searched them before every search ran on the
+# STRIPS view.
+
+def reference_fdr_apply(task: FdrTask, state: tuple[int, ...],
+                        action_id: int) -> tuple[int, ...] | None:
+    """Successor state, or None when the action is inapplicable."""
+    a = task.actions[action_id]
+    for v, d in a.pre:
+        if state[v] != d:
+            return None
+    new = list(state)
+    for v, d in a.eff:
+        new[v] = d
+    return tuple(new)
+
+
+def reference_fdr_is_goal(task: FdrTask, state: tuple[int, ...]) -> bool:
+    return all(state[v] == d for v, d in task.goal)
+
+
+def reference_fdr_successors(task: FdrTask,
+                             state: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """All (action_id, successor) pairs applicable in state, in action order."""
+    return [(aid, nxt) for aid in range(len(task.actions))
+            if (nxt := reference_fdr_apply(task, state, aid)) is not None]
+
+
 def reachable_states(task, state_cap: int = DEFAULT_STATE_CAP):
-    """All states reachable from the initial state (breadth-first order)."""
-    start = initial_state(task)
+    """All states reachable from the initial state (breadth-first order):
+    frozensets of proposition ids for a StripsTask, value tuples under the
+    reference semantics above for an FdrTask."""
+    if isinstance(task, FdrTask):
+        start, successors_of, decode = task.init, reference_fdr_successors, lambda s: s
+    else:
+        start, successors_of, decode = initial_state(task), successors, task.decode
     seen = {start}
     order = [start]
     queue = deque([start])
     while queue:
         s = queue.popleft()
-        for _, nxt in successors(task, s):
+        for _, nxt in successors_of(task, s):
             if nxt not in seen:
                 seen.add(nxt)
                 if len(seen) > state_cap:
                     raise BudgetExceeded(f"state cap {state_cap} exceeded enumerating states")
                 order.append(nxt)
                 queue.append(nxt)
-    return [task.decode(s) for s in order]
+    return [decode(s) for s in order]
 
 
 def blind(task, config: SearchConfig | None = None) -> SearchResult:
@@ -249,6 +284,12 @@ def reference_slg(task: StripsTask, state: frozenset[int]) -> LearningGraph:
             for p in sorted(props):
                 edges.append((i, n_a + p, label))
     return LearningGraph(slg_kind(), features, edges, tuple(names))
+
+
+def build_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:
+    """The finite-domain graph of one value tuple, through the template
+    builder that `state_graphs("flg", ...)` binds (see `flg_graphs`)."""
+    return flg_graphs(task)(state)
 
 
 def reference_flg(task: FdrTask, state: tuple[int, ...]) -> LearningGraph:

@@ -23,14 +23,14 @@ from planlearn.expressiveness import (
     scaling_twin_pair,
     wl_refine,
 )
-from planlearn.graphs import IndexEncoder, build_flg, build_llg, build_slg, flg_kind, llg_kind, slg_kind
+from planlearn.graphs import IndexEncoder, build_llg, build_slg, flg_kind, llg_kind, slg_kind
 from planlearn.heuristics import h_add, h_dp, h_ff, h_max, h_plus, h_star
 from planlearn.nn import TrainConfig, forward, train
 from planlearn.search import ModelHeuristic, SearchConfig, gbfs
 from planlearn.task import as_lifted, binary_fdr_view, ground, strips_state_atoms
 from planlearn.task.ground import ground_state_atoms
 
-from helpers import blind, reachable_states
+from helpers import blind, build_flg, reachable_states
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -18,13 +18,22 @@ from planlearn.expressiveness import (
     random_unit_task,
     wl_refine,
 )
-from planlearn.graphs import IndexEncoder, LearningGraph, build_flg, build_llg, build_slg, core
+from planlearn.graphs import IndexEncoder, LearningGraph, build_llg, build_slg, core
 from planlearn.graphs import builders, state_graphs
 from planlearn.nn import forward, init_model
 from planlearn.nn.model import AGGREGATORS
-from planlearn.task import Atom, binary_fdr_view, ground, ground_state_atoms, parse_pddl
+from planlearn.task import (
+    Atom,
+    binary_fdr_view,
+    fdr_state_to_strips,
+    ground,
+    ground_state_atoms,
+    parse_pddl,
+    strips_view,
+)
 
 from helpers import (
+    build_flg,
     reachable_states,
     reference_flg,
     reference_forward_backward,
@@ -53,8 +62,9 @@ def assert_same_graph(got, want):
 
 
 def assert_matches_reference(kind, task, states):
+    """slg graphs of STRIPS states, or flg graphs of FDR value tuples."""
     reference = reference_slg if kind == "slg" else reference_flg
-    graph_of = state_graphs(kind, task)
+    graph_of = state_graphs(kind, task) if kind == "slg" else builders.flg_graphs(task)
     for s in states:
         assert_same_graph(graph_of(s), reference(task, s))
 
@@ -103,11 +113,26 @@ def test_invalid_states_still_raise(gripper_ground, gripper_fdr):
 
 
 def test_state_graphs_rejects_mismatched_inputs(gripper_ground, gripper_fdr):
+    """Every encoding takes the STRIPS task; flg's finite-domain source must
+    be the task that STRIPS task is the view of."""
     strips, _ = gripper_ground
-    with pytest.raises(TypeError):
-        state_graphs("slg", gripper_fdr)
-    with pytest.raises(TypeError):
-        state_graphs("flg", strips)
+    for kind in ("slg", "flg", "llg"):
+        with pytest.raises(TypeError):
+            state_graphs(kind, gripper_fdr)
+    with pytest.raises(ValueError, match="not the view"):
+        state_graphs("flg", strips, fdr=gripper_fdr)
+
+
+def test_flg_strips_states_are_checked(gripper_ground, gripper_fdr):
+    """A set of proposition ids that stands for no state of the flg source
+    raises, for the binary view as for a SAS task's view."""
+    strips, _ = gripper_ground
+    with pytest.raises(ValueError, match="outside the task"):
+        state_graphs("flg", strips)(frozenset({len(strips.propositions)}))
+    graph_of = state_graphs("flg", strips_view(gripper_fdr), fdr=gripper_fdr)
+    init = fdr_state_to_strips(gripper_fdr, gripper_fdr.init)
+    with pytest.raises(ValueError, match="every variable"):
+        graph_of(init - {min(init)})
     with pytest.raises(TypeError):
         state_graphs("llg", strips)
     with pytest.raises(ValueError, match="unknown graph kind"):

@@ -170,9 +170,10 @@ def test_gen_solve_reproducible(tmp_path):
 
 def test_experiment_model_heuristics(tmp_path):
     """experiment --heuristics model:PATH gives every instance the heuristic
-    of its own ground and lifted task: rows equal a direct search."""
+    of its own ground and lifted task, for each encoding: rows equal a
+    direct search on the ground task."""
     from planlearn.bench import load_suite
-    from planlearn.graphs import llg_kind, slg_kind
+    from planlearn.graphs import flg_kind, llg_kind, slg_kind
     from planlearn.nn import init_model, load_model, save_model
     from planlearn.search import ModelHeuristic, gbfs
     from planlearn.task import ground
@@ -180,9 +181,10 @@ def test_experiment_model_heuristics(tmp_path):
     suite = tmp_path / "suite"
     assert run(["gen", "--domain", "gripper", "--train", "1:2", "--validate", "3",
                 "--test", "4", "--out-dir", str(suite)]) == 0
-    models = {"slg": tmp_path / "slg.json", "llg": tmp_path / "llg.json"}
-    save_model(init_model(slg_kind(), layer_count=2, hidden_dim=8, seed=3), models["slg"])
-    save_model(init_model(llg_kind(4), layer_count=2, hidden_dim=8, seed=3), models["llg"])
+    kinds = {"slg": slg_kind(), "llg": llg_kind(4), "flg": flg_kind()}
+    models = {name: tmp_path / f"{name}.json" for name in kinds}
+    for name, kind in kinds.items():
+        save_model(init_model(kind, layer_count=2, hidden_dim=8, seed=3), models[name])
     spec = ",".join(f"model:{path}" for path in models.values())
     outs = [tmp_path / "exp1", tmp_path / "exp2"]
     for out in outs:
@@ -460,11 +462,13 @@ def test_non_finite_oracle_value_writes_nothing(tmp_path, capsys, monkeypatch, o
 
 @pytest.mark.parametrize("subcommand", [["train", "--kind", "slg"], ["experiment"]],
                          ids=["train", "experiment"])
-@pytest.mark.parametrize("damage", ["truncated-instance", "no-splits", "text-split"])
+@pytest.mark.parametrize("damage", ["truncated-instance", "no-splits", "text-split",
+                                    "number-path", "unknown-split", "text-size"])
 def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcommand, damage):
-    """A suite with a truncated instance, or a manifest without a required key
-    or with a split that is not a list of sizes, gives one error line naming
-    the file at fault, exit 1 and no output."""
+    """A suite with a truncated instance, or a manifest without a required key,
+    with a split that is not a list of sizes, or with an instance whose path
+    is not a string or whose split or size is not one of the splits', gives
+    one error line naming the file at fault, exit 1 and no output."""
     suite = tmp_path / "suite"
     shutil.copytree(gripper_suite.parent, suite)
     manifest = suite / "manifest.json"
@@ -477,11 +481,21 @@ def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcomm
         del payload["splits"]
         manifest.write_text(json.dumps(payload))
         expected = f"error: {manifest}: manifest lacks 'splits'"
-    else:
+    elif damage == "text-split":
         payload = json.loads(manifest.read_text())
         payload["splits"]["train"] = "1:2"
         manifest.write_text(json.dumps(payload))
         expected = f"error: {manifest}: split 'train' is not a list of integers"
+    else:
+        payload = json.loads(manifest.read_text())
+        key, value, message = {
+            "number-path": ("path", 5, "path 5 is not a string"),
+            "unknown-split": ("split", "bogus", "split 'bogus' is not train, validate or test"),
+            "text-size": ("size", "two", "size 'two' is not a size of split 'train'"),
+        }[damage]
+        payload["instances"][1][key] = value
+        manifest.write_text(json.dumps(payload))
+        expected = f"error: {manifest}: instance 1: {message}"
     capsys.readouterr()
     code = run([*subcommand, "--suite", str(manifest), "--out-dir", str(tmp_path / "out")])
     err = capsys.readouterr().err

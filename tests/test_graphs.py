@@ -5,7 +5,6 @@ from planlearn.errors import NonFiniteOutput
 from planlearn.expressiveness import grounded_twin_pair
 from planlearn.graphs import (
     IndexEncoder,
-    build_flg,
     build_llg,
     build_slg,
     graph_to_dot,
@@ -23,7 +22,7 @@ from planlearn.task import (
     StripsTask,
 )
 
-from helpers import graph_from_json, min_pairwise_distance
+from helpers import build_flg, graph_from_json, min_pairwise_distance
 
 
 def test_slg_single_action_example():

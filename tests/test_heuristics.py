@@ -117,9 +117,15 @@ def test_dp_iterations_reported(gripper_ground):
 
 
 def test_dp_monotone_in_iterations(gripper_ground):
+    """The per-sweep proposition tables never increase. Only the reference
+    DP in test_relaxation_diff keeps them; the fast one equals its final
+    table and iteration count there."""
+    from test_relaxation_diff import relaxation_table as reference_table
+
     task, _ = gripper_ground
     for which in ("max", "add"):
-        table = relaxation_table(task, task.init, which, keep_history=True)
+        table = reference_table(task, task.init, which, keep_history=True)
+        assert len(table.history) == table.iterations + 1
         for earlier, later in zip(table.history, table.history[1:]):
             assert all(b <= a for a, b in zip(earlier, later))
 

@@ -8,7 +8,6 @@ from planlearn.graphs import (
     IndexEncoder,
     LearningGraph,
     build_slg,
-    encoded_task,
     flg_kind,
     llg_kind,
     slg_kind,
@@ -134,9 +133,8 @@ def _state_graph_sets(kind):
     else:
         tasks += [(strips, None, None) for strips in grounded_twin_pair()]
     for strips, gmap, lifted in tasks:
-        task = encoded_task(kind, strips)
-        graph_of = state_graphs(kind, task, lifted, gmap, IndexEncoder(4, seed=0))
-        yield [graph_of(s) for s in reachable_states(task)[:16]]
+        graph_of = state_graphs(kind, strips, lifted, gmap, IndexEncoder(4, seed=0))
+        yield [graph_of(s) for s in reachable_states(strips)[:16]]
 
 
 @pytest.mark.parametrize("kind", [slg_kind(), flg_kind(), llg_kind(4)], ids=lambda k: k.name)
@@ -172,7 +170,7 @@ def test_kind_mismatch_rejected(gripper_ground):
 
 
 def test_mixed_kind_batch_rejected(gripper_ground, gripper_fdr):
-    from planlearn.graphs import build_flg
+    from helpers import build_flg
     task, _ = gripper_ground
     slg = build_slg(task, task.init)
     flg = build_flg(gripper_fdr, gripper_fdr.init)

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 from helpers import reference_aggregate, reference_aggregate_backward, reference_forward_backward
 
-from planlearn.graphs import IndexEncoder, LearningGraph, build_llg, slg_kind
-from planlearn.graphs.builders import flg_graphs, slg_graphs
+from planlearn.graphs import IndexEncoder, LearningGraph, build_llg, slg_kind, state_graphs
+from planlearn.graphs.builders import slg_graphs
 from planlearn.nn import backward_packed, forward_packed, init_model, pack_graphs
 from planlearn.nn import model as nn_model
-from planlearn.task import successors
+from planlearn.task import strips_view, successors
 from planlearn.task.ground import ground_state_atoms
 
 
@@ -50,10 +50,11 @@ def graph_lists(gripper_lifted, gripper_ground, gripper_fdr):
     states are copies of one task template, so they share its plans."""
     task, gmap = gripper_ground
     slg = slg_graphs(task)
-    flg = flg_graphs(gripper_fdr)
+    view = strips_view(gripper_fdr)
+    flg = state_graphs("flg", view, fdr=gripper_fdr)
     encoder = IndexEncoder(4, seed=0)
     slg_list = [slg(s) for s in first_states(task)[:4]] + [tie_graph()]
-    flg_list = [flg(s) for s in first_states(gripper_fdr)[:4]]
+    flg_list = [flg(s) for s in first_states(view)[:4]]
     llg_list = [build_llg(gripper_lifted, ground_state_atoms(gmap, s), encoder)
                 for s in first_states(task)[:3]]
     return {kind: graphs + [with_random_features(graphs[0], 5)]

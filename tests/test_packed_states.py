@@ -7,6 +7,11 @@ states, kept verbatim (apart from the bound apply) as the slow reference;
 they live only here. Every comparison is exact: the packed successors,
 decoded, must equal the reference pairs in order, and searches must give the
 same status, counters, plans and costs.
+
+Finite-domain tasks are searched through their STRIPS view. Their entries
+compare the view with the earlier FDR semantics on value tuples (in
+helpers.py), states mapped by `fdr_state_to_strips`: the same successors in
+the same order, and the same searches.
 """
 
 import heapq
@@ -27,6 +32,7 @@ from planlearn.search import ConstantHeuristic, OracleHeuristic, SearchConfig, S
 from planlearn.task import (
     StripsTask,
     binary_fdr_view,
+    fdr_state_to_strips,
     ground,
     initial_state,
     strips_view,
@@ -35,7 +41,13 @@ from planlearn.task import (
 )
 from planlearn.task.model import plan_from_parents
 
-from helpers import bench_task, reachable_states
+from helpers import (
+    bench_task,
+    reachable_states,
+    reference_fdr_apply,
+    reference_fdr_is_goal,
+    reference_fdr_successors,
+)
 
 # ── reference implementation ──────────────────────────────────────────────
 
@@ -51,13 +63,13 @@ def strips_apply(task, state, action_id):
 def reference_apply(task):
     if isinstance(task, StripsTask):
         return lambda state, action_id: strips_apply(task, state, action_id)
-    return task.apply
+    return lambda state, action_id: reference_fdr_apply(task, state, action_id)
 
 
 def reference_is_goal(task, state):
     if isinstance(task, StripsTask):
         return task.goal <= state
-    return task.is_goal(state)
+    return reference_fdr_is_goal(task, state)
 
 
 def reference_successors(task, state):
@@ -79,7 +91,7 @@ def reference_gbfs(task, heuristic, config=None):
     def result(status, plan=None):
         cost = None
         if plan is not None:
-            check = validate_plan(task, plan)
+            check = validate_plan(view, plan)
             if not check.valid:
                 raise InvalidPlan(f"search produced an invalid plan: {check.reason}")
             cost = check.cost
@@ -88,6 +100,8 @@ def reference_gbfs(task, heuristic, config=None):
 
     expansions = evaluations = generated = peak_open = 0
     root = task.init
+    # An FDR plan is validated on the STRIPS view, as gbfs validates it.
+    view = task if isinstance(task, StripsTask) else strips_view(task)
     if reference_is_goal(task, root):
         return result("solved", [])
 
@@ -160,13 +174,14 @@ def reference_dijkstra(task, start, state_cap, with_parents):
 
 
 class ReferenceHff:
-    """h_ff evaluated on frozenset states, as the oracle adapter did."""
+    """h_ff evaluated on frozenset states, as the oracle adapter did; `decode`
+    maps a reference state to its frozenset."""
 
-    def __init__(self, task):
-        self.task = task
+    def __init__(self, task, decode=lambda s: s):
+        self.task, self.decode = task, decode
 
     def evaluate_batch(self, states):
-        return [float(h_ff(self.task, s)) for s in states]
+        return [float(h_ff(self.task, self.decode(s))) for s in states]
 
 
 def reference_reachable(task, cap=None):
@@ -189,8 +204,20 @@ def fixture_tasks(gripper_ground, gripper_fdr):
     twin1, twin2 = grounded_twin_pair()
     unsolvable, _ = ground(lifted_twin_pair()[1], prune_statics=False)
     return {"gripper": gripper_ground[0], "twin1": twin1, "twin2": twin2,
-            "twin2-unsolvable": unsolvable, "fdr-strips-view": strips_view(gripper_fdr),
-            "fdr": gripper_fdr, "twin1-binary-fdr": binary_fdr_view(twin1)}
+            "twin2-unsolvable": unsolvable, "fdr-strips-view": strips_view(gripper_fdr)}
+
+
+@pytest.fixture(scope="module")
+def fdr_tasks(gripper_fdr):
+    """Per name, an FDR task, the STRIPS task that search runs on in its place
+    and the map from its value tuples to that task's states: the SAS fixture
+    and its view, and the binary view of twin1 and twin1 itself, whose bit p
+    is variable p."""
+    twin1, _ = grounded_twin_pair()
+    return {"fdr": (gripper_fdr, strips_view(gripper_fdr),
+                    lambda s: fdr_state_to_strips(gripper_fdr, s)),
+            "twin1-binary-fdr": (binary_fdr_view(twin1), twin1,
+                                 lambda s: frozenset(p for p, d in enumerate(s) if d))}
 
 
 def assert_same_successors(task, state):
@@ -205,15 +232,34 @@ def assert_same_successors(task, state):
     assert task.is_goal(packed) == reference_is_goal(task, state)
 
 
+def assert_same_fdr_successors(fdr, task, to_strips, state):
+    """`task`'s packed successors of the STRIPS state of an FDR state are
+    the reference FDR successors, mapped, in the same order."""
+    packed = task.encode(to_strips(state))
+    got = [(aid, task.decode(nxt)) for aid, nxt in successors(task, packed)]
+    assert got == [(aid, to_strips(nxt)) for aid, nxt in reference_fdr_successors(fdr, state)]
+    for aid in range(len(fdr.actions)):
+        nxt = task.apply(packed, aid)
+        expected = reference_fdr_apply(fdr, state, aid)
+        assert (None if nxt is None else task.decode(nxt)) == \
+            (None if expected is None else to_strips(expected))
+    assert task.is_goal(packed) == reference_fdr_is_goal(fdr, state)
+
+
 # ── successors ────────────────────────────────────────────────────────────
 
 
-def test_successors_match_on_every_reachable_state(fixture_tasks):
+def test_successors_match_on_every_reachable_state(fixture_tasks, fdr_tasks):
     for name, task in fixture_tasks.items():
         states = reference_reachable(task)
         for state in states:
             assert_same_successors(task, state)
         assert reachable_states(task) == states, name
+    for name, (fdr, task, to_strips) in fdr_tasks.items():
+        states = reference_reachable(fdr)
+        for state in states:
+            assert_same_fdr_successors(fdr, task, to_strips, state)
+        assert reachable_states(task) == [to_strips(s) for s in states], name
 
 
 @settings(max_examples=120, deadline=None)
@@ -284,20 +330,22 @@ class PruningHeuristic:
         return values
 
 
-def test_gbfs_matches_reference(fixture_tasks):
+def test_gbfs_matches_reference(fixture_tasks, fdr_tasks):
+    """Each FDR task's reference search runs on value tuples, and its
+    heuristics read them mapped to the states of the task gbfs runs on."""
     statuses, pruned = set(), 0
     configs = (None, SearchConfig(eval_batch=3), *(SearchConfig(node_cap=c) for c in (2, 5, 17)))
-    for name, task in search_tasks(fixture_tasks).items():
-        decode = task.decode if isinstance(task, StripsTask) else (lambda s: s)
+    runs = [(task, task, lambda s: s) for task in search_tasks(fixture_tasks).values()]
+    runs += [(fdr, task, to_strips) for fdr, task, to_strips in fdr_tasks.values()]
+    for reference_task, task, to_strips in runs:
         for cfg in configs:
-            pruning = PruningHeuristic(task, decode)
+            pruning = PruningHeuristic(task, task.decode)
             pairs = [(ConstantHeuristic(0.0), ConstantHeuristic(0.0)),
-                     (pruning, PruningHeuristic(task, lambda s: s))]
-            if isinstance(task, StripsTask):
-                pairs.append((OracleHeuristic(task, "hff"), ReferenceHff(task)))
+                     (pruning, PruningHeuristic(task, to_strips)),
+                     (OracleHeuristic(task, "hff"), ReferenceHff(task, to_strips))]
             for heuristic, reference in pairs:
                 got = gbfs(task, heuristic, cfg)
-                assert_same_search(got, reference_gbfs(task, reference, cfg))
+                assert_same_search(got, reference_gbfs(reference_task, reference, cfg))
                 statuses.add(got.status)
             pruned += pruning.pruned
     assert {"solved", "exhausted", "node_cap"} <= statuses
@@ -314,13 +362,16 @@ def test_random_task_gbfs_matches(seed):
                        reference_gbfs(task, ReferenceHff(task)))
 
 
-def test_exact_oracles_match_reference(fixture_tasks):
-    for name, task in search_tasks(fixture_tasks).items():
-        states = reference_reachable(task, cap=None if name in fixture_tasks else 25)
-        for state in states:
-            cost, goal_state, parents = reference_dijkstra(task, state, 10**6, True)
-            assert h_star(task, state).value == (INFINITY if cost is None else cost), name
+def test_exact_oracles_match_reference(fixture_tasks, fdr_tasks):
+    runs = [(name, task, task, lambda s: s) for name, task in search_tasks(fixture_tasks).items()]
+    runs += [(name, fdr, task, to_strips) for name, (fdr, task, to_strips) in fdr_tasks.items()]
+    for name, reference_task, task, to_strips in runs:
+        cap = None if name in fixture_tasks or name in fdr_tasks else 25
+        for state in reference_reachable(reference_task, cap=cap):
+            cost, goal_state, parents = reference_dijkstra(reference_task, state, 10**6, True)
+            value = h_star(task, to_strips(state)).value
+            assert value == (INFINITY if cost is None else cost), name
             plan = None if cost is None else plan_from_parents(parents, goal_state)
-            assert optimal_plan(task, state) == plan, name
-        cost, _, _ = reference_dijkstra(task, task.init, 10**6, False)
+            assert optimal_plan(task, to_strips(state)) == plan, name
+        cost, _, _ = reference_dijkstra(reference_task, reference_task.init, 10**6, False)
         assert h_star(task).value == (INFINITY if cost is None else cost)

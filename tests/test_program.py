@@ -96,7 +96,7 @@ def test_trace_records_layer_states():
 
 
 def test_rejects_non_propositional_graph(gripper_fdr):
-    from planlearn.graphs import build_flg
+    from helpers import build_flg
     g = build_flg(gripper_fdr, gripper_fdr.init)
     with pytest.raises(ValueError):
         relaxation_program(g, "max", rounds=1, bound=8)

@@ -1,5 +1,6 @@
 import importlib
 from collections import deque
+from functools import partial
 
 import pytest
 
@@ -16,8 +17,10 @@ from planlearn.search import (
 from planlearn.task import (
     StripsAction,
     StripsTask,
+    fdr_state_to_strips,
     ground,
     initial_state,
+    strips_view,
     successors,
     validate_plan,
 )
@@ -154,7 +157,6 @@ def test_model_search_does_not_depend_on_eval_batch(kind, seed):
     many. These 2-epoch models on the 1:2/3 gripper suite (the seeds the cli
     model tests train with) used to change plans with the batch size."""
     from planlearn.bench import SuiteSpec, build_training_set, generate
-    from planlearn.graphs import encoded_task
     from planlearn.nn import TrainConfig, train
     from planlearn.search import ModelHeuristic
 
@@ -162,8 +164,7 @@ def test_model_search_does_not_depend_on_eval_batch(kind, seed):
     model, _ = train(build_training_set(suite.split("train"), kind, encoder_seed=seed),
                      TrainConfig(seed=seed, max_epochs=2))
     lifted = suite.split("test")[0].task
-    strips, gmap = ground(lifted)
-    task = encoded_task(kind, strips)
+    task, gmap = ground(lifted)
     heuristic = ModelHeuristic(model, task, lifted=lifted, gmap=gmap)
 
     states = [initial_state(task)]
@@ -181,7 +182,8 @@ def test_model_search_does_not_depend_on_eval_batch(kind, seed):
 
 def test_model_heuristic_paths_solve(gripper_ground, gripper_lifted, gripper_fdr):
     """Untrained models still yield total heuristics; every encoding path
-    must drive the search to a valid plan."""
+    must drive the search to a valid plan. flg searches the STRIPS task
+    both for PDDL input and for the SAS fixture's view."""
     from planlearn.graphs import IndexEncoder, flg_kind, llg_kind, slg_kind
     from planlearn.nn import init_model
     from planlearn.search import ModelHeuristic
@@ -192,8 +194,10 @@ def test_model_heuristic_paths_solve(gripper_ground, gripper_lifted, gripper_fdr
     assert r.status == "solved" and validate_plan(strips, r.plan).valid
 
     flg_model = init_model(flg_kind(), layer_count=2, hidden_dim=8, seed=0)
-    r = gbfs(gripper_fdr, ModelHeuristic(flg_model, gripper_fdr))
-    assert r.status == "solved" and validate_plan(gripper_fdr, r.plan).valid
+    view = strips_view(gripper_fdr)
+    for task, fdr in ((strips, None), (view, gripper_fdr)):
+        r = gbfs(task, ModelHeuristic(flg_model, task, fdr=fdr))
+        assert r.status == "solved" and validate_plan(task, r.plan).valid
 
     llg_model = init_model(llg_kind(4), layer_count=2, hidden_dim=8, seed=0)
     heuristic = ModelHeuristic(llg_model, strips, lifted=gripper_lifted, gmap=gmap,
@@ -204,23 +208,61 @@ def test_model_heuristic_paths_solve(gripper_ground, gripper_lifted, gripper_fdr
 
 def test_model_heuristic_rewrite_equals_fresh_graph(gripper_ground, gripper_fdr):
     """The per-state feature rewrite of the slg/flg template gives the same
-    estimate as the reference full build of that state's graph."""
+    estimate as the reference full build of that state's graph; flg reads
+    the SAS fixture's value tuples while search runs on its view."""
     from helpers import reference_flg, reference_slg
     from planlearn.graphs import flg_kind, slg_kind
     from planlearn.nn import forward, init_model
     from planlearn.search import ModelHeuristic
 
     strips, _ = gripper_ground
-    for task, kind, build in ((strips, slg_kind(), reference_slg),
-                              (gripper_fdr, flg_kind(), reference_flg)):
+    view = strips_view(gripper_fdr)
+    slg_states = [(s, s) for s in reachable_states(strips)]
+    flg_states = [(s, fdr_state_to_strips(gripper_fdr, s)) for s in reachable_states(gripper_fdr)]
+    for task, fdr, kind, build, states in (
+            (strips, None, slg_kind(), partial(reference_slg, strips), slg_states),
+            (view, gripper_fdr, flg_kind(), partial(reference_flg, gripper_fdr), flg_states)):
         # seed 1 gives positive outputs on both tasks, so the clamp at zero
         # cannot hide a wrong feature row
         model = init_model(kind, layer_count=2, hidden_dim=8, seed=1)
-        heuristic = ModelHeuristic(model, task)
-        for s in reachable_states(task):
-            fresh = forward(model, build(task, s))
+        heuristic = ModelHeuristic(model, task, fdr=fdr)
+        for s, state in states:
+            fresh = forward(model, build(s))
             assert fresh > 0
-            assert heuristic.evaluate_batch([task.encode(s)]) == [max(0.0, fresh)]
+            assert heuristic.evaluate_batch([task.encode(state)]) == [max(0.0, fresh)]
+
+
+def test_flg_estimates_on_strips_states_equal_fdr_graphs(gripper_ground, gripper_fdr):
+    """On every reachable state of the PDDL fixture (read through its binary
+    view) and of the SAS fixture (searched through its STRIPS view), the
+    flg graph of the STRIPS state gives, bit for bit, the forward of the
+    finite-domain graph of the value tuple, and the model heuristic gives
+    that value clamped at zero."""
+    from helpers import build_flg
+    from planlearn.graphs import flg_kind, state_graphs
+    from planlearn.nn import forward, init_model
+    from planlearn.search import ModelHeuristic
+    from planlearn.task import binary_fdr_view
+
+    strips, _ = gripper_ground
+    binary = binary_fdr_view(strips)
+    view = strips_view(gripper_fdr)
+    cases = (
+        (strips, None, binary, [(s, frozenset(p for p, d in enumerate(s) if d))
+                                for s in reachable_states(binary)]),
+        (view, gripper_fdr, gripper_fdr, [(s, fdr_state_to_strips(gripper_fdr, s))
+                                          for s in reachable_states(gripper_fdr)]),
+    )
+    for seed in (0, 1):
+        model = init_model(flg_kind(), layer_count=2, hidden_dim=8, seed=seed)
+        for task, fdr, source, states in cases:
+            graph_of = state_graphs("flg", task, fdr=fdr)
+            heuristic = ModelHeuristic(model, task, fdr=fdr)
+            assert len(states) > 1
+            for values, state in states:
+                want = forward(model, build_flg(source, values))
+                assert forward(model, graph_of(state)) == want
+                assert heuristic.evaluate_batch([task.encode(state)]) == [max(0.0, want)]
 
 
 def test_format_plan(gripper_ground):

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -16,6 +17,7 @@ from planlearn.task import (
     binary_fdr_view,
     fdr_state_to_strips,
     initial_state,
+    strips_state_to_fdr,
     strips_view,
     successors,
     validate_plan,
@@ -23,7 +25,7 @@ from planlearn.task import (
 
 import numpy as np
 
-from helpers import reachable_states
+from helpers import reachable_states, reference_fdr_is_goal, reference_fdr_successors
 
 
 def test_apply_strips_substitution():
@@ -48,8 +50,29 @@ def test_relaxation_gap_task_semantics():
 def test_apply_fdr_overwrites_single_variable(gripper_fdr):
     move = next(i for i, a in enumerate(gripper_fdr.actions)
                 if a.name == "move rooma roomb")
-    nxt = gripper_fdr.apply(gripper_fdr.init, move)
-    assert nxt == (1, 0, 0, 0)  # only the robot variable changes
+    view = strips_view(gripper_fdr)
+    nxt = view.apply(initial_state(view), move)
+    assert strips_state_to_fdr(gripper_fdr, view.decode(nxt)) == (1, 0, 0, 0)
+    # only the robot variable changes
+
+
+def fdr_optimal_cost(task):
+    """Uniform-cost search on value tuples under the reference FDR
+    semantics; None when the goal is unreachable."""
+    dist = {task.init: 0}
+    heap = [(0, task.init)]
+    while heap:
+        d, s = heapq.heappop(heap)
+        if d > dist[s]:
+            continue
+        if reference_fdr_is_goal(task, s):
+            return d
+        for aid, nxt in reference_fdr_successors(task, s):
+            nd = d + task.actions[aid].cost
+            if nxt not in dist or nd < dist[nxt]:
+                dist[nxt] = nd
+                heapq.heappush(heap, (nd, nxt))
+    return None
 
 
 def test_validate_empty_plan_when_goal_holds():
@@ -95,7 +118,7 @@ def test_strips_view_proposition_count(gripper_fdr):
 def test_strips_view_preserves_optimal_cost(gripper_fdr, minimal_sas_text):
     from planlearn.task import parse_sas
     for task in (gripper_fdr, parse_sas(minimal_sas_text)):
-        assert h_star(task).value == h_star(strips_view(task)).value
+        assert fdr_optimal_cost(task) == h_star(strips_view(task)).value
 
 
 def test_strips_view_state_space_isomorphic(gripper_fdr):
@@ -103,20 +126,33 @@ def test_strips_view_state_space_isomorphic(gripper_fdr):
     other value: reachable state spaces must match one-to-one."""
     view = strips_view(gripper_fdr)
     fdr_states = reachable_states(gripper_fdr)
-    mapped = {fdr_state_to_strips(gripper_fdr, s) for s in fdr_states}
-    assert mapped == set(reachable_states(view))
-    # successor relation matches under the mapping
-    for s in fdr_states:
-        succ_fdr = {fdr_state_to_strips(gripper_fdr, t) for _, t in successors(gripper_fdr, s)}
-        packed = view.encode(fdr_state_to_strips(gripper_fdr, s))
-        succ_view = {view.decode(t) for _, t in successors(view, packed)}
+    mapped = [fdr_state_to_strips(gripper_fdr, s) for s in fdr_states]
+    assert mapped == reachable_states(view)
+    # successor relation matches under the mapping, action by action
+    for s, state in zip(fdr_states, mapped):
+        assert strips_state_to_fdr(gripper_fdr, state) == s
+        succ_fdr = [(aid, fdr_state_to_strips(gripper_fdr, t))
+                    for aid, t in reference_fdr_successors(gripper_fdr, s)]
+        succ_view = [(aid, view.decode(t)) for aid, t in successors(view, view.encode(state))]
         assert succ_fdr == succ_view
+        assert reference_fdr_is_goal(gripper_fdr, s) == view.is_goal(view.encode(state))
+
+
+def test_strips_state_to_fdr_rejects_non_view_states(gripper_fdr):
+    state = fdr_state_to_strips(gripper_fdr, gripper_fdr.init)
+    robot = sorted(state)[0]
+    for bad, message in ((state - {robot}, "every variable"),
+                         (state | {robot + 1}, "twice"),
+                         (state | {len(strips_view(gripper_fdr).propositions)}, "outside"),
+                         (state | {-1}, "outside")):
+        with pytest.raises(ValueError, match=message):
+            strips_state_to_fdr(gripper_fdr, bad)
 
 
 def test_binary_fdr_view_round_trip():
     task, _ = grounded_twin_pair()
     fdr = binary_fdr_view(task)
-    assert h_star(fdr).value == h_star(task).value == 4
+    assert fdr_optimal_cost(fdr) == h_star(task).value == 4
 
 
 def _lifted_reachable_fluents(task):

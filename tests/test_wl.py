@@ -7,9 +7,11 @@ from planlearn.expressiveness import (
     wl_equal,
     wl_refine,
 )
-from planlearn.graphs import IndexEncoder, LearningGraph, build_flg, build_llg, build_slg, slg_kind
+from planlearn.graphs import IndexEncoder, LearningGraph, build_llg, build_slg, slg_kind
 from planlearn.heuristics import h_star
 from planlearn.task import as_lifted, binary_fdr_view, strips_state_atoms
+
+from helpers import build_flg
 
 
 def _chain_graph(edge_pairs, n):
