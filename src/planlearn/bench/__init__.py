@@ -16,12 +16,12 @@ from .suite import (
     default_suite,
     generate,
     load_suite,
-    write_suite,
+    suite_files,
 )
 
 __all__ = [
     "DOMAIN_TEXT", "GENERATORS", "Instance", "Suite", "SuiteSpec",
     "blocksworld_problem", "build_training_set", "default_suite", "generate",
-    "gripper_problem", "load_suite", "spanner_problem", "visitall_problem",
-    "write_suite",
+    "gripper_problem", "load_suite", "spanner_problem", "suite_files",
+    "visitall_problem",
 ]

@@ -90,11 +90,11 @@ def generate(spec: SuiteSpec) -> Suite:
     return suite
 
 
-def write_suite(suite: Suite, out_dir) -> Path:
-    """domain.pddl + <split>/pNN.pddl + manifest.json, byte-deterministic."""
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "domain.pddl").write_text(suite.domain_text)
+def suite_files(suite: Suite, root) -> dict[str, str]:
+    """{path relative to the suite root: text} of domain.pddl,
+    <split>/pNN.pddl and manifest.json, byte-deterministic; `load_suite`
+    reads them back from `root`."""
+    files = {"domain.pddl": suite.domain_text}
     manifest = {
         "domain": suite.spec.domain,
         "seed": suite.spec.seed,
@@ -108,14 +108,11 @@ def write_suite(suite: Suite, out_dir) -> Path:
         idx = counters.get(inst.split, 0)
         counters[inst.split] = idx + 1
         rel = f"{inst.split}/p{idx:02d}.pddl"
-        path = root / rel
-        path.parent.mkdir(exist_ok=True)
-        path.write_text(inst.problem_text)
+        files[rel] = inst.problem_text
         manifest["instances"].append(
             {"name": inst.name, "split": inst.split, "size": inst.size, "path": rel})
-    (root / "manifest.json").write_text(
-        finite_json(manifest, root / "manifest.json", indent=1) + "\n")
-    return root
+    files["manifest.json"] = finite_json(manifest, Path(root) / "manifest.json", indent=1) + "\n"
+    return files
 
 
 def _require(value, keys, what):
@@ -127,23 +124,30 @@ def _require(value, keys, what):
 
 
 def _read_manifest(text: str) -> tuple[SuiteSpec, list[dict]]:
-    """The spec and instance entries of a manifest that `write_suite` wrote."""
+    """The spec and instance entries of a manifest that `suite_files` made."""
     try:
         manifest = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not JSON: {exc.msg}", line=exc.lineno) from None
     _require(manifest, ("domain", "seed", "splits", "instances"), "manifest")
+    if type(manifest["seed"]) is not int:
+        raise ParseError(f"seed {manifest['seed']!r} is not an integer")
     splits = _require(manifest["splits"], ("train", "validate", "test"), "splits")
     for name, sizes in splits.items():
         if not isinstance(sizes, list) or not all(type(size) is int for size in sizes):
             raise ParseError(f"split {name!r} is not a list of integers")
     if not isinstance(manifest["instances"], list):
         raise ParseError("instances is not a list")
+    seen: dict[str, dict[str, int]] = {"name": {}, "path": {}}
     for i, entry in enumerate(manifest["instances"]):
         _require(entry, ("name", "split", "size", "path"), f"instance {i}")
         for key in ("name", "path"):
             if not isinstance(entry[key], str):
                 raise ParseError(f"instance {i}: {key} {entry[key]!r} is not a string")
+            if entry[key] in seen[key]:
+                raise ParseError(f"instance {i}: {key} {entry[key]!r} repeats "
+                                 f"instance {seen[key][entry[key]]}")
+            seen[key][entry[key]] = i
         split, size = entry["split"], entry["size"]
         if split not in ("train", "validate", "test"):
             raise ParseError(f"instance {i}: split {split!r} is not train, validate or test")
@@ -155,8 +159,9 @@ def _read_manifest(text: str) -> tuple[SuiteSpec, list[dict]]:
 
 
 def load_suite(manifest_path) -> Suite:
-    """The suite `write_suite` wrote. An error in the manifest or in a PDDL
-    file starts with the path of the file at fault."""
+    """The suite whose `suite_files` are in the manifest's directory. An
+    error in the manifest or in a PDDL file starts with the path of the file
+    at fault."""
     path = Path(manifest_path)
     spec, entries = named_input(path, _read_manifest, path.read_text())
     domain_path = path.parent / "domain.pddl"

@@ -2,10 +2,12 @@
 
 Every subcommand that writes files takes --out-dir, writes only inside it,
 and records the fully resolved configuration in run.json there, so any run
-can be reproduced byte-for-byte from that file plus the inputs. run.json is
-written last, so a run refused while writing its outputs leaves none. All
-randomness flows from --seed through tagged substreams. Wall-clock numbers
-go to separate timings files; primary outputs are deterministic.
+can be reproduced byte-for-byte from that file plus the inputs. A run
+serialises all its outputs before it writes any, so a refused run creates no
+out-dir and changes no file in an existing one; each file is replaced whole,
+never left truncated, and run.json is written last. All randomness flows
+from --seed through tagged substreams. Wall-clock numbers go to separate
+timings files; primary outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -13,17 +15,18 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from .bench import SuiteSpec, build_training_set, default_suite, generate, load_suite, write_suite
+from .bench import SuiteSpec, build_training_set, default_suite, generate, load_suite, suite_files
 from .bench.domains import GENERATORS
 from .errors import PlanlearnError, finite_json, named_input
 from .expressiveness import run_theory_checks
 from .graphs import IndexEncoder, graph_to_dot, graph_to_json, state_graphs
-from .nn import TrainConfig, load_model, save_model, train
+from .nn import TrainConfig, load_model, model_to_json, train
 from .nn.model import AGGREGATORS, READOUTS
 from .search import (
     ConstantHeuristic,
@@ -83,25 +86,29 @@ def _load_tasks(args):
     return strips, gmap, lifted, None
 
 
-def _out_dir(args) -> Path:
+def _emit(args, outputs: dict[str, str]) -> Path:
+    """Write each {path relative to --out-dir: serialised text} of outputs,
+    then run.json, and return the out-dir. Callers serialise every output
+    before the call, so a refused one writes nothing. Each file goes to a
+    temporary name beside it and is moved into place whole."""
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_run_json(args, out: Path):
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    payload = {"tool": "planlearn", "version": __version__, "config": resolved}
-    (out / "run.json").write_text(json.dumps(payload, indent=1, default=str) + "\n")
+    run = json.dumps({"tool": "planlearn", "version": __version__, "config": resolved},
+                     indent=1, default=str)
+    for rel, text in {**outputs, "run.json": run + "\n"}.items():
+        path = out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    return out
 
 
 # ── subcommands ───────────────────────────────────────────────────────────
 
 def cmd_ground(args) -> int:
     strips, _, _, _ = _load_tasks(args)
-    out = _out_dir(args)
-    (out / "task.strips").write_text(dump_strips(strips))
-    _write_run_json(args, out)
+    out = _emit(args, {"task.strips": dump_strips(strips)})
     print(f"{len(strips.propositions)} propositions, {len(strips.actions)} actions, "
           f"{len(strips.goal)} goal facts -> {out / 'task.strips'}")
     return 0
@@ -113,10 +120,10 @@ def cmd_graph(args) -> int:
         raise UsageError("the lifted encoding needs --domain/--problem input")
     encoder = IndexEncoder(args.index_dim, seed=args.seed) if args.kind == "llg" else None
     graph = state_graphs(args.kind, strips, lifted, gmap, encoder, fdr)(strips.init)
-    out = _out_dir(args)
-    (out / "graph.json").write_text(graph_to_json(graph, out / "graph.json") + "\n")
-    (out / "graph.dot").write_text(graph_to_dot(graph))
-    _write_run_json(args, out)
+    out = _emit(args, {
+        "graph.json": graph_to_json(graph, Path(args.out_dir) / "graph.json") + "\n",
+        "graph.dot": graph_to_dot(graph),
+    })
     print(f"{args.kind}: {graph.num_nodes} nodes, {graph.num_edges} edges "
           f"{graph.label_counts()} -> {out / 'graph.json'}")
     return 0
@@ -132,9 +139,7 @@ def cmd_gen(args) -> int:
     else:
         spec = default_suite(args.domain, args.seed)
     suite = generate(spec)
-    out = _out_dir(args)
-    write_suite(suite, out)
-    _write_run_json(args, out)
+    out = _emit(args, suite_files(suite, Path(args.out_dir)))
     print(f"{len(suite.instances)} instances -> {out / 'manifest.json'}")
     return 0
 
@@ -147,11 +152,11 @@ def cmd_train(args) -> int:
                          hidden_dim=args.hidden, aggregator=args.aggregator,
                          readout=args.readout, max_epochs=args.max_epochs)
     model, trace = train(samples, config)
-    out = _out_dir(args)
-    save_model(model, out / "model.json")
-    (out / "trace.csv").write_text(trace.to_csv())
-    (out / "timings.csv").write_text(trace.timings_csv())
-    _write_run_json(args, out)
+    out = _emit(args, {
+        "model.json": model_to_json(model),
+        "trace.csv": trace.to_csv(),
+        "timings.csv": trace.timings_csv(),
+    })
     last = trace.rows[-1]
     print(f"{len(samples)} samples, {len(trace.rows)} epochs ({trace.stop_reason}), "
           f"final train MSE {last.train_loss:.4f}, holdout MSE {last.holdout_loss:.4f}")
@@ -179,19 +184,19 @@ def cmd_solve(args) -> int:
         raise UsageError("--heuristic model needs --model FILE")
     model = load_model(args.model) if args.heuristic == "model" else None
     result = gbfs(strips, _heuristic(args.heuristic, model, strips, gmap, lifted, fdr), config)
-    out = _out_dir(args)
-    (out / "result.json").write_text(
-        finite_json(result.to_json_dict(), out / "result.json", indent=1) + "\n")
-    (out / "timings.json").write_text(
-        json.dumps({"wall_nanos": result.wall_nanos}) + "\n")
+    out = Path(args.out_dir)
+    outputs = {
+        "result.json": finite_json(result.to_json_dict(), out / "result.json", indent=1) + "\n",
+        "timings.json": json.dumps({"wall_nanos": result.wall_nanos}) + "\n",
+    }
     if result.status == "solved":
-        (out / "plan.txt").write_text(format_plan(strips, result))
+        outputs["plan.txt"] = format_plan(strips, result)
         summary = (f"solved: cost {result.plan_cost}, {result.expansions} expansions, "
                    f"{result.evaluations} evaluations -> {out / 'plan.txt'}")
     else:
         summary = (f"{result.status}: {result.expansions} expansions, "
                    f"{result.evaluations} evaluations")
-    _write_run_json(args, out)
+    _emit(args, outputs)
     print(summary)
     return 0 if result.status in ("solved", "exhausted") else 1
 
@@ -207,25 +212,22 @@ def cmd_oracle(args) -> int:
         "iterations": value.iterations,
         "nanoseconds": nanos,
     }
+    # oracle.json is the line without its integer timing, so the line is
+    # refused only when oracle.json is, before anything is written.
     if args.out_dir:
         stable = {k: v for k, v in payload.items() if k != "nanoseconds"}
-        text = finite_json(stable, Path(args.out_dir) / "oracle.json", indent=1)
-    line = finite_json(payload, "oracle output line")
-    if args.out_dir:
-        out = _out_dir(args)
-        (out / "oracle.json").write_text(text + "\n")
-        _write_run_json(args, out)
-    print(line)
+        _emit(args, {"oracle.json": finite_json(stable, Path(args.out_dir) / "oracle.json",
+                                                indent=1) + "\n"})
+    print(finite_json(payload, "oracle output line"))
     return 0
 
 
 def cmd_theory(args) -> int:
     verdicts = run_theory_checks(seed=args.seed, models=args.models,
                                  random_tasks=args.random_tasks)
-    out = _out_dir(args)
-    (out / "verdicts.json").write_text(finite_json(
-        [v.to_json_dict() for v in verdicts], out / "verdicts.json", indent=1) + "\n")
-    _write_run_json(args, out)
+    _emit(args, {"verdicts.json": finite_json([v.to_json_dict() for v in verdicts],
+                                              Path(args.out_dir) / "verdicts.json",
+                                              indent=1) + "\n"})
     for v in verdicts:
         status = "PASS" if v.passed else "FAIL"
         print(f"{status} {v.check} [{v.graph_kind}] wl_equal={v.wl_equal} "
@@ -269,11 +271,11 @@ def cmd_experiment(args) -> int:
                  for label, name, model in heuristics]
     config = SearchConfig(timeout_s=args.timeout, node_cap=args.node_cap)
     table = run_experiment(tasks, factories, config)
-    out = _out_dir(args)
-    (out / "results.csv").write_text(table.to_csv())
-    (out / "coverage.csv").write_text(table.coverage_csv())
-    (out / "timings.csv").write_text(table.timings_csv())
-    _write_run_json(args, out)
+    out = _emit(args, {
+        "results.csv": table.to_csv(),
+        "coverage.csv": table.coverage_csv(),
+        "timings.csv": table.timings_csv(),
+    })
     for name, (solved, total) in sorted(table.coverage().items()):
         print(f"{name}: {solved}/{total} solved")
     print(f"results -> {out / 'results.csv'}")

@@ -75,10 +75,6 @@ class ChecksumMismatch(PlanlearnError):
     """Stored file is corrupt or truncated."""
 
 
-class BoundViolation(PlanlearnError):
-    """Intermediate value of the exact program exceeded its bound."""
-
-
 class InvalidSize(PlanlearnError):
     """Instance generator size parameter out of range."""
 

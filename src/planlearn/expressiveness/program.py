@@ -12,11 +12,8 @@ values. Delete edges are ignored throughout. Unit-cost tasks only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import BoundViolation
 from ..graphs.core import LearningGraph
 from ..heuristics.values import HeuristicValue, from_float
 
@@ -31,22 +28,12 @@ _EMBED = {
 }
 
 
-@dataclass
-class ProgramTrace:
-    """Per-round snapshots of the [x0, x1, x2] node states."""
-
-    states: list[np.ndarray]
-
-
-def relaxation_program(graph: LearningGraph, which: str, rounds: int, bound: float,
-                       check_bound: bool = False,
-                       trace: ProgramTrace | None = None) -> HeuristicValue:
+def relaxation_program(graph: LearningGraph, which: str, rounds: int,
+                       bound: float) -> HeuristicValue:
     """Run the exact program on a propositional graph (unit costs).
 
     which selects the combination operator: 'max' or 'add' (sum). Values at
-    or above the bound decode to INFINITY. check_bound raises BoundViolation
-    when an intermediate action magnitude exceeds the bound, which signals
-    that the bound hypothesis fails for this task, not an implementation bug.
+    or above the bound decode to INFINITY.
     """
     if graph.kind.name != "slg":
         raise ValueError("the exact program runs on the propositional encoding")
@@ -64,8 +51,6 @@ def relaxation_program(graph: LearningGraph, which: str, rounds: int, bound: flo
     pre_dst, pre_src = graph.adjacency("pre")
     add_dst, add_src = graph.adjacency("add")
     is_action = graph.features[:, 0] == 0.0
-    if trace is not None:
-        trace.states.append(state.copy())
 
     for _ in range(rounds):
         # action update: combine precondition costs, store negated
@@ -77,13 +62,6 @@ def relaxation_program(graph: LearningGraph, which: str, rounds: int, bound: flo
             np.add.at(agg, pre_dst, state[pre_src, 0])
         new0 = np.where(is_action, -agg, state[:, 0])
         state = np.column_stack([new0, state[:, 1], state[:, 2]])
-        if check_bound and len(pre_dst):
-            worst = float(np.max(np.abs(state[is_action, 0]))) if is_action.any() else 0.0
-            if worst > bound:
-                raise BoundViolation(
-                    f"action value {worst} exceeds bound {bound}; hypothesis fails")
-        if trace is not None:
-            trace.states.append(state.copy())
 
         # proposition update: min over achievers + 1 via max of negatives
         cand = np.full(n, -np.inf)
@@ -91,13 +69,9 @@ def relaxation_program(graph: LearningGraph, which: str, rounds: int, bound: flo
         cand = -cand + 1.0
         new0 = np.where(is_action, 0.0, np.minimum(state[:, 0], cand))
         state = np.column_stack([new0, state[:, 1] * ~is_action, state[:, 2]])
-        if trace is not None:
-            trace.states.append(state.copy())
 
     per_node = state[:, 0] * state[:, 1]
     value = float(np.max(per_node, initial=0.0)) if which == "max" else float(per_node.sum())
-    if trace is not None:
-        trace.states.append(state.copy())
     if value >= bound:
         return from_float(float("inf"))
     return from_float(value)

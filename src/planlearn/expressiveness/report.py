@@ -28,7 +28,7 @@ from .pairs import (
 )
 from .program import relaxation_program
 from .sampling import random_unit_task
-from .wl import wl_equal, wl_refine
+from .wl import wl_refine
 
 _KINDS = ("slg", "flg", "llg")
 

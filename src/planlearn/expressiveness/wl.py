@@ -3,8 +3,7 @@
 Edge labels are handled by replacing each labeled edge with an auxiliary
 node colored by its label, connected to both endpoints. Colors are stable
 64-bit hashes of (own color, sorted multiset of neighbor colors), so
-histograms are canonical and comparable across graphs; a cross-check mode
-refines two graphs jointly with exact interned colors instead of hashes.
+histograms are canonical and comparable across graphs.
 """
 
 from __future__ import annotations
@@ -75,30 +74,3 @@ def wl_refine(graph: LearningGraph) -> ColorHistogram:
     colors, rounds = _refine(colors, adjacency, _hash_round)
     counts = tuple(sorted(Counter(colors).items()))
     return ColorHistogram(counts, rounds)
-
-
-def wl_equal(g1: LearningGraph, g2: LearningGraph, exact: bool = False) -> bool:
-    """Indistinguishability under color refinement.
-
-    exact=True refines the two graphs jointly with interned exact colors
-    (no hashing), as a collision cross-check.
-    """
-    if not exact:
-        return wl_refine(g1).same_colors(wl_refine(g2))
-    c1, a1 = _transformed(g1)
-    c2, a2 = _transformed(g2)
-    offset = len(c1)
-    colors = c1 + c2
-    adjacency = a1 + [[v + offset for v in nbrs] for nbrs in a2]
-    intern: dict = {}
-
-    def combine(own, neighbors):
-        key = (own, tuple(sorted(neighbors)))
-        if key not in intern:
-            intern[key] = len(intern)
-        return intern[key]
-
-    # Re-intern initial hashes so ids stay small.
-    colors = [combine(c, []) for c in colors]
-    colors, _ = _refine(colors, adjacency, combine)
-    return Counter(colors[:offset]) == Counter(colors[offset:])

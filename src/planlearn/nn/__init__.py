@@ -10,7 +10,7 @@ from .model import (
     init_model,
     pack_graphs,
 )
-from .storage import load_model, model_from_json, model_to_json, save_model
+from .storage import load_model, model_from_json, model_to_json
 from .train import (
     Adam,
     LabeledGraphSample,
@@ -24,5 +24,5 @@ __all__ = [
     "Adam", "LabeledGraphSample", "LrSchedule", "MpnnModel", "PackedBatch",
     "TrainConfig", "TrainTrace", "backward_packed", "forward", "forward_batch",
     "forward_packed", "init_model", "load_model", "model_from_json",
-    "model_to_json", "pack_graphs", "save_model", "train",
+    "model_to_json", "pack_graphs", "train",
 ]

@@ -1,8 +1,8 @@
 """Model files: a self-describing JSON container with a content checksum.
 
-Floats are serialized with shortest round-trip repr, so save -> load is
-bit-exact on every parameter. The documented size bound is
-32 * parameter_count + 4096 bytes (see docs/formats.md). A file loads only
+Floats are serialized with shortest round-trip repr, so model_to_json ->
+model_from_json is bit-exact on every parameter. The documented size bound
+is 32 * parameter_count + 4096 bytes (see docs/formats.md). A file loads only
 when its checksum matches, its kind, aggregator and readout are known, and
 its parameters are finite and exactly those `init_model` creates for its
 kind, layer count and hidden width; every other file raises
@@ -51,10 +51,6 @@ def model_to_json(model: MpnnModel) -> str:
     payload = _payload(model)
     payload["checksum"] = _checksum({k: v for k, v in payload.items()})
     return finite_json(payload, "model file")
-
-
-def save_model(model: MpnnModel, path) -> None:
-    Path(path).write_text(model_to_json(model))
 
 
 def model_from_json(text: str) -> MpnnModel:

@@ -109,6 +109,8 @@ def _line(expr) -> int | None:
 
 def _parse_typed_list(items) -> list[tuple[str, str]]:
     """PDDL typed list -> [(name, type)]; untyped entries get type 'object'."""
+    if not isinstance(items, list):
+        raise ParseError("not a typed list", line=_line(items), expected="( name ... )")
     out: list[tuple[str, str]] = []
     pending: list[str] = []
     i = 0
@@ -221,12 +223,16 @@ def _parse_domain(text: str) -> _Domain:
     expr = _parse_sexpr(_tokenize(text))
     if _head(expr) != "define" or len(expr) < 2 or _head(expr[1]) != "domain":
         raise ParseError("not a PDDL domain", line=_line(expr), expected="(define (domain ...) ...)")
+    if len(expr[1]) > 1 and not isinstance(expr[1][1], _Tok):
+        raise ParseError("domain name must be a symbol", line=_line(expr[1]))
     name = expr[1][1].text if len(expr[1]) > 1 else "unnamed"
     dom = _Domain(name, {}, {}, set(), [], [])
     for section in expr[2:]:
         head = _head(section)
         if head == ":requirements":
             for req in section[1:]:
+                if not isinstance(req, _Tok):
+                    raise ParseError("requirement must be a symbol", line=_line(req))
                 if req.text not in _ACCEPTED_REQUIREMENTS:
                     raise UnsupportedFeature(f"requirement {req.text}")
         elif head == ":types":

@@ -34,12 +34,18 @@ class _Lines:
         except ValueError:
             raise ParseError(f"got '{line}'", line=self.pos, expected=what) from None
 
-    def next_ints(self, what: str) -> list[int]:
+    def next_ints(self, what: str, count: int | None = None) -> list[int]:
+        """The integers of the next line; exactly `count` of them unless
+        count is None."""
         line = self.next(expected=what)
         try:
-            return [int(tok) for tok in line.split()]
+            ints = [int(tok) for tok in line.split()]
         except ValueError:
             raise ParseError(f"got '{line}'", line=self.pos, expected=what) from None
+        if count is not None and len(ints) != count:
+            raise ParseError(f"got '{line}'", line=self.pos,
+                             expected=f"{what} of {count} integers")
+        return ints
 
 
 def parse_sas(text: str) -> FdrTask:
@@ -80,7 +86,7 @@ def parse_sas(text: str) -> FdrTask:
         src.expect("begin_mutex_group")
         size = src.next_int("mutex group size")
         for _ in range(size):
-            v, d = src.next_ints("mutex fact")
+            v, d = src.next_ints("mutex fact", 2)
             check_fact(v, d, "mutex group")
         src.expect("end_mutex_group")
 
@@ -96,7 +102,7 @@ def parse_sas(text: str) -> FdrTask:
     n_goal = src.next_int("goal size")
     goal = []
     for _ in range(n_goal):
-        v, d = src.next_ints("goal fact")
+        v, d = src.next_ints("goal fact", 2)
         check_fact(v, d, "goal")
         goal.append((v, d))
     src.expect("end_goal")
@@ -110,7 +116,7 @@ def parse_sas(text: str) -> FdrTask:
         eff: dict[int, int] = {}
         n_prevail = src.next_int("prevail count")
         for _ in range(n_prevail):
-            v, d = src.next_ints("prevail condition")
+            v, d = src.next_ints("prevail condition", 2)
             check_fact(v, d, f"operator {name}")
             pre[v] = d
         n_effects = src.next_int("effect count")

@@ -1,21 +1,25 @@
 """Task transformations, benchmark instances, state enumeration, blind
-search, measurements, readers of the CLI's task and graph dumps, the
-finite-domain graph of one value tuple and reference implementations
-(successors, FDR successor semantics, h+, graph builders, the network)
-that only the tests need."""
+search, measurements, writers of suites and model files, readers of the
+CLI's task and graph dumps, the finite-domain graph of one value tuple,
+exact joint color refinement and reference implementations (successors,
+FDR successor semantics, h+, graph builders, the network) that only the
+tests need."""
 
 import heapq
 import itertools
 import json
-from collections import deque
+from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 
 from planlearn import bench
 from planlearn.errors import BudgetExceeded, ParseError
+from planlearn.expressiveness.wl import _refine, _transformed
 from planlearn.graphs import GraphKind, IndexEncoder, LearningGraph, flg_kind, llg_kind, slg_kind
 from planlearn.graphs.builders import flg_graphs
 from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
+from planlearn.nn import model_to_json
 from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.seeding import derive_seed
 from planlearn.task import Atom, FdrTask, LiftedTask, StripsAction, StripsTask, ground, parse_pddl
@@ -35,6 +39,43 @@ def bench_task(domain: str, size: int, copy: int = 0) -> StripsTask:
     """The ground task of a seeded benchmark instance."""
     text = bench.GENERATORS[domain](size, seed=derive_seed(0, f"{domain}-{size}-{copy}"))
     return ground(parse_pddl(bench.DOMAIN_TEXT[domain], text))[0]
+
+
+def write_suite(suite: bench.Suite, root) -> Path:
+    """Write the suite's files (`bench.suite_files`) under root."""
+    root = Path(root)
+    for rel, text in bench.suite_files(suite, root).items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return root
+
+
+def save_model(model, path) -> None:
+    """Write the model file (`planlearn.nn.model_to_json`) to path."""
+    Path(path).write_text(model_to_json(model))
+
+
+def wl_equal(g1: LearningGraph, g2: LearningGraph) -> bool:
+    """Indistinguishability under color refinement, refining the two graphs
+    jointly with interned exact colors (no hashing): the collision
+    cross-check of comparing `wl_refine` histograms."""
+    c1, a1 = _transformed(g1)
+    c2, a2 = _transformed(g2)
+    offset = len(c1)
+    colors = c1 + c2
+    adjacency = a1 + [[v + offset for v in nbrs] for nbrs in a2]
+    intern: dict = {}
+
+    def combine(own, neighbors):
+        key = (own, tuple(sorted(neighbors)))
+        if key not in intern:
+            intern[key] = len(intern)
+        return intern[key]
+
+    # Re-intern initial hashes so ids stay small.
+    colors = [combine(c, []) for c in colors]
+    colors, _ = _refine(colors, adjacency, combine)
+    return Counter(colors[:offset]) == Counter(colors[offset:])
 
 
 def load_strips(text: str) -> StripsTask:

@@ -6,7 +6,6 @@ from planlearn.bench import (
     default_suite,
     generate,
     load_suite,
-    write_suite,
 )
 from planlearn.bench.domains import (
     DOMAIN_TEXT,
@@ -18,6 +17,8 @@ from planlearn.bench.domains import (
 from planlearn.errors import InvalidSize
 from planlearn.heuristics import h_star, optimal_plan
 from planlearn.task import Atom, ground, parse_pddl
+
+from helpers import write_suite
 
 
 def _task(domain, text):

@@ -6,6 +6,9 @@ from pathlib import Path
 import pytest
 
 from planlearn.cli import cli_main
+from planlearn.errors import NonFiniteOutput
+
+from helpers import save_model
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOMAIN = str(FIXTURES / "gripper-domain.pddl")
@@ -174,7 +177,7 @@ def test_experiment_model_heuristics(tmp_path):
     direct search on the ground task."""
     from planlearn.bench import load_suite
     from planlearn.graphs import flg_kind, llg_kind, slg_kind
-    from planlearn.nn import init_model, load_model, save_model
+    from planlearn.nn import init_model, load_model
     from planlearn.search import ModelHeuristic, gbfs
     from planlearn.task import ground
 
@@ -227,7 +230,9 @@ def test_no_writes_outside_out_dir(tmp_path, monkeypatch):
     monkeypatch.chdir(workdir)
     assert run(["ground", "--domain", DOMAIN, "--problem", PROBLEM,
                 "--out-dir", str(out)]) == 0
+    assert run([*GEN, "--train", "1:2", "--test", "3", "--out-dir", str(out / "suite")]) == 0
     assert list(workdir.iterdir()) == []
+    assert list(out.rglob("*.tmp")) == []
 
 
 def test_experiment_subcommand(tmp_path):
@@ -395,7 +400,7 @@ def test_solve_rejects_invalid_model_file(tmp_path, capsys, change, message):
     do not describe a model ends in one error line naming the file, exit 1,
     before any output is written."""
     from planlearn.graphs import slg_kind
-    from planlearn.nn import init_model, save_model
+    from planlearn.nn import init_model
 
     path = tmp_path / "model.json"
     save_model(init_model(slg_kind(), layer_count=2, hidden_dim=8, seed=3), path)
@@ -409,13 +414,38 @@ def test_solve_rejects_invalid_model_file(tmp_path, capsys, change, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flag", ["--domain", "--problem", "--sas"])
-def test_parse_error_names_the_file(tmp_path, capsys, flag):
-    """A truncated input file gives one error line that names it."""
+def _truncate(text):
+    return text.rstrip()[:-1]
+
+
+PARSE_DAMAGE = {
+    "--domain": ("--domain", _truncate),
+    "--problem": ("--problem", _truncate),
+    "--sas": ("--sas", _truncate),
+    "sas-goal-one-integer": ("--sas", lambda text: text.replace("begin_goal\n1\n1 1\n",
+                                                                "begin_goal\n1\n1\n")),
+    "parameters-not-a-list": ("--domain", lambda text: text.replace(
+        ":parameters (?from ?to)", ":parameters ?x (?from ?to)")),
+    "requirement-list": ("--domain", lambda text: text.replace(
+        "(:requirements :strips)", "(:requirements (:strips))")),
+    "domain-name-list": ("--domain", lambda text: text.replace(
+        "(domain gripper)", "(domain (gripper))")),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_DAMAGE)
+def test_parse_error_names_the_file(tmp_path, capsys, case):
+    """A truncated input file, a SAS goal fact of one integer, an action
+    whose :parameters is not a list, and a requirement or domain name that
+    is a list each give one error line that names the file, exit 1 and no
+    out-dir."""
+    flag, damage = PARSE_DAMAGE[case]
     source = {"--domain": DOMAIN, "--problem": PROBLEM,
               "--sas": str(FIXTURES / "gripper-b1.sas")}[flag]
     bad = tmp_path / ("bad.sas" if flag == "--sas" else "bad.pddl")
-    bad.write_text(Path(source).read_text().rstrip()[:-1])
+    text = Path(source).read_text()
+    bad.write_text(damage(text))
+    assert bad.read_text() != text
     inputs = {"--domain": ["--domain", str(bad), "--problem", PROBLEM],
               "--problem": ["--domain", DOMAIN, "--problem", str(bad)],
               "--sas": ["--sas", str(bad)]}[flag]
@@ -423,6 +453,39 @@ def test_parse_error_names_the_file(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert code == 1
     assert err.count("\n") == 1 and err.startswith(f"error: {bad}: "), err
+    assert not (tmp_path / "out").exists()
+
+
+def _refuse(*args, **kwargs):
+    raise NonFiniteOutput("output refused")
+
+
+@pytest.mark.parametrize("argv, serialiser", [
+    (["solve", *FIXTURE_INPUT, "--heuristic", "hff"], "finite_json"),
+    (["theory", "--models", "2", "--random-tasks", "2"], "finite_json"),
+    (["graph", *FIXTURE_INPUT, "--kind", "slg"], "graph_to_json"),
+    (["train", "--kind", "slg", "--layers", "1", "--hidden", "4", "--max-epochs", "2"],
+     "model_to_json"),
+], ids=["solve-result", "theory-verdicts", "graph-json", "train-model"])
+def test_refused_output_writes_nothing(tmp_path, capsys, monkeypatch, gripper_suite,
+                                       argv, serialiser):
+    """A primary output refused while it is serialised gives one error line,
+    exit 1 and no out-dir; refused over an earlier run's out-dir, it leaves
+    that run's files byte-identical."""
+    import planlearn.cli
+
+    if argv[0] == "train":
+        argv = [*argv, "--suite", str(gripper_suite)]
+    out = tmp_path / "out"
+    assert run([*argv, "--out-dir", str(out)]) == 0
+    before = {path: path.read_bytes() for path in out.rglob("*")}
+    monkeypatch.setattr(planlearn.cli, serialiser, _refuse)
+    capsys.readouterr()
+    for target in (tmp_path / "fresh", out):
+        assert run([*argv, "--seed", "1", "--out-dir", str(target)]) == 1
+        assert capsys.readouterr().err == "error: output refused\n"
+    assert not (tmp_path / "fresh").exists()
+    assert {path: path.read_bytes() for path in out.rglob("*")} == before
 
 
 def test_non_finite_output_is_refused(tmp_path, capsys, monkeypatch):
@@ -463,12 +526,15 @@ def test_non_finite_oracle_value_writes_nothing(tmp_path, capsys, monkeypatch, o
 @pytest.mark.parametrize("subcommand", [["train", "--kind", "slg"], ["experiment"]],
                          ids=["train", "experiment"])
 @pytest.mark.parametrize("damage", ["truncated-instance", "no-splits", "text-split",
-                                    "number-path", "unknown-split", "text-size"])
+                                    "text-seed", "duplicate-instance", "number-path",
+                                    "unknown-split", "text-size"])
 def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcommand, damage):
     """A suite with a truncated instance, or a manifest without a required key,
-    with a split that is not a list of sizes, or with an instance whose path
-    is not a string or whose split or size is not one of the splits', gives
-    one error line naming the file at fault, exit 1 and no output."""
+    with a split that is not a list of sizes, with a seed that is not an
+    integer, with an instance that repeats an earlier one, or with an
+    instance whose path is not a string or whose split or size is not one of
+    the splits', gives one error line naming the file at fault, exit 1 and
+    no output."""
     suite = tmp_path / "suite"
     shutil.copytree(gripper_suite.parent, suite)
     manifest = suite / "manifest.json"
@@ -486,6 +552,17 @@ def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcomm
         payload["splits"]["train"] = "1:2"
         manifest.write_text(json.dumps(payload))
         expected = f"error: {manifest}: split 'train' is not a list of integers"
+    elif damage == "text-seed":
+        payload = json.loads(manifest.read_text())
+        payload["seed"] = "0"
+        manifest.write_text(json.dumps(payload))
+        expected = f"error: {manifest}: seed '0' is not an integer"
+    elif damage == "duplicate-instance":
+        payload = json.loads(manifest.read_text())
+        payload["instances"][1] = payload["instances"][0]
+        manifest.write_text(json.dumps(payload))
+        name = payload["instances"][0]["name"]
+        expected = f"error: {manifest}: instance 1: name {name!r} repeats instance 0"
     else:
         payload = json.loads(manifest.read_text())
         key, value, message = {

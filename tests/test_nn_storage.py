@@ -5,8 +5,10 @@ import pytest
 
 from planlearn.errors import ChecksumMismatch, FormatVersionMismatch, NonFiniteOutput
 from planlearn.graphs import build_slg, flg_kind, llg_kind, slg_kind
-from planlearn.nn import forward, init_model, load_model, save_model
+from planlearn.nn import forward, init_model, load_model
 from planlearn.nn.model import param_shapes
+
+from helpers import save_model
 
 
 def test_round_trip_bit_exact(tmp_path, gripper_ground):

@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from planlearn.errors import BoundViolation
 from planlearn.expressiveness import (
-    ProgramTrace,
     grounded_twin_pair,
     random_unit_task,
     relaxation_program,
@@ -69,30 +67,14 @@ def test_unreachable_goal_decodes_to_infinity():
 
 
 def test_bound_check_flags_action_overflow():
-    """Three unreached preconditions sum past the bound; strict mode raises,
-    default mode saturates and still decodes to INFINITY."""
+    """Three unreached preconditions sum past the bound; the program
+    saturates and still decodes to INFINITY."""
     task = StripsTask(
         ("x", "y", "z", "g"),
         (StripsAction("big", frozenset({0, 1, 2}), frozenset({3}), frozenset()),),
         frozenset(), frozenset({3}))
     g = build_slg(task, task.init)
     assert relaxation_program(g, "add", rounds=2, bound=4).infinite
-    with pytest.raises(BoundViolation):
-        relaxation_program(g, "add", rounds=2, bound=4, check_bound=True)
-
-
-def test_trace_records_layer_states():
-    p1, _ = grounded_twin_pair()
-    g = build_slg(p1, p1.init)
-    trace = ProgramTrace(states=[])
-    relaxation_program(g, "max", rounds=3, bound=10, trace=trace)
-    # embedding + 2 per round + final = 2L + 2 snapshots
-    assert len(trace.states) == 2 * 3 + 2
-    for state in trace.states:
-        assert set(np.unique(state[:, 2])) <= {0.0, 1.0}
-        prop_rows = state[:, 2] == 1.0
-        assert (state[prop_rows, 0] >= 0).all()
-        assert (state[prop_rows, 0] <= 10).all()
 
 
 def test_rejects_non_propositional_graph(gripper_fdr):

@@ -4,14 +4,13 @@ from planlearn.expressiveness import (
     grounded_twin_pair,
     lifted_twin_pair,
     scaling_twin_pair,
-    wl_equal,
     wl_refine,
 )
 from planlearn.graphs import IndexEncoder, LearningGraph, build_llg, build_slg, slg_kind
 from planlearn.heuristics import h_star
 from planlearn.task import as_lifted, binary_fdr_view, strips_state_atoms
 
-from helpers import build_flg
+from helpers import build_flg, wl_equal
 
 
 def _chain_graph(edge_pairs, n):
@@ -24,14 +23,14 @@ def test_isomorphic_graphs_equal():
     path1 = _chain_graph([(0, 1), (1, 2), (2, 3)], 4)
     path2 = _chain_graph([(3, 2), (2, 1), (1, 0)], 4)
     assert wl_refine(path1).same_colors(wl_refine(path2))
-    assert wl_equal(path1, path2, exact=True)
+    assert wl_equal(path1, path2)
 
 
 def test_path_vs_star_differ():
     path = _chain_graph([(0, 1), (1, 2), (2, 3)], 4)
     star = _chain_graph([(0, 1), (0, 2), (0, 3)], 4)
     assert not wl_refine(path).same_colors(wl_refine(star))
-    assert not wl_equal(path, star, exact=True)
+    assert not wl_equal(path, star)
 
 
 def test_twins_wl_equal_but_h_star_differs():
@@ -39,7 +38,7 @@ def test_twins_wl_equal_but_h_star_differs():
     g1 = build_slg(p1, p1.init)
     g2 = build_slg(p2, p2.init)
     assert wl_refine(g1).same_colors(wl_refine(g2))
-    assert wl_equal(g1, g2, exact=True)  # hash mode cross-checked exactly
+    assert wl_equal(g1, g2)  # hash mode cross-checked exactly
     assert h_star(p1).value != h_star(p2).value
 
 
@@ -66,7 +65,7 @@ def test_lifted_twins_wl_equal():
     g2 = build_llg(t2, t2.init, enc)
     assert sorted(map(tuple, g1.features.tolist())) == sorted(map(tuple, g2.features.tolist()))
     assert wl_refine(g1).same_colors(wl_refine(g2))
-    assert wl_equal(g1, g2, exact=True)
+    assert wl_equal(g1, g2)
 
 
 def test_scaling_twins_wl_equal():
