@@ -99,8 +99,12 @@ def _emit(args, outputs: dict[str, str]) -> Path:
         path = out / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
     return out
 
 
@@ -370,6 +374,10 @@ def cli_main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        named = exc.filename2 or exc.filename
+        print(f"error: {named}: {exc.strerror}" if named else f"error: {exc}", file=sys.stderr)
         return 1
     except PlanlearnError as exc:
         print(f"error: {exc}", file=sys.stderr)

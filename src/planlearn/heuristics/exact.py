@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
+
+import numpy as np
 
 from ..errors import BudgetExceeded
 from ..task.model import (StripsAction, StripsTask, initial_state, plan_from_parents,
@@ -83,9 +84,9 @@ def h_plus(task: StripsTask, state: frozenset[int] | None = None,
         return HeuristicValue(0)
 
     table = relaxation_table(task, state, "max")
-    if any(math.isinf(table.prop_cost[p]) for p in missing_goal):
+    if not np.isfinite(table.prop_cost[sorted(missing_goal)]).all():
         return HeuristicValue(INFINITY)
-    usable = [not math.isinf(c) for c in table.action_cost]
+    usable = np.isfinite(table.action_cost).tolist()
 
     # Backward relevance: goal facts, their achievers' preconditions, and so on.
     supporters = task.incidence.supporters

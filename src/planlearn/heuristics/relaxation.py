@@ -1,20 +1,32 @@
-"""Delete-relaxation heuristics by Jacobi sweeps over incidence arrays.
+"""Delete-relaxation heuristics by Jacobi sweeps over padded incidence arrays.
 
 Each task carries its precondition and achiever incidence as flat index
-arrays (`StripsTask.incidence`, built once per task). One sweep is an action
-update, the sum (h_add) or max (h_max) of the proposition table over each
-action's precondition segment with `reduceat`, followed by a proposition
-update: each proposition takes the minimum of its old value and of action
-value plus action cost over its achiever segment. Actions without
-preconditions have value 0; propositions without achievers keep their
-value. Neither update reads a partly updated table. Sweeps repeat until
-the proposition table stops changing, so the iteration count includes the
-final unchanged sweep. Costs are non-negative integers, so every sum is an
-exact integer-valued float and the tables do not depend on summation order.
+arrays (`StripsTask.incidence`, built once per task) with one non-empty
+segment per action and per proposition. Two sentinel slots make that
+possible: proposition slot n, held at cost 0, is the one precondition of
+every action without preconditions, and action slot A, whose cost is inf,
+is the one achiever of every proposition without achievers. The tables
+carry both slots, so no sweep scatters into a subset of them.
+
+One sweep is an action update, the sum (h_add) or max (h_max) of the
+proposition table over each action's precondition segment with `reduceat`,
+followed by a proposition update: each proposition takes the minimum of its
+old value and of action value plus action cost over its achiever segment
+(a proposition without achievers sees inf and keeps its value). Neither
+update reads a partly updated table. Sweeps repeat until the proposition
+table stops changing, so the iteration count includes the final unchanged
+sweep. Costs are non-negative integers, so every sum is an exact
+integer-valued float and the tables do not depend on summation order.
+`relaxation_table` returns the tables without the sentinel slots, as
+read-only float64 arrays.
 
 The heuristic is the combination over goal facts. The relaxed-plan
-heuristic extracts best supporters from the additive fixpoint by walking
-each fact's achievers in ascending action id.
+heuristic picks every fact's best supporter at once: the lowest action id
+among the fact's achievers whose support (action value plus cost) equals
+the least support in its segment, found by comparing for equality rather
+than by packing support and id into one number, so no cost is too large
+for it. It then walks from the goal through those supporters'
+preconditions, one list lookup per fact.
 """
 
 from __future__ import annotations
@@ -28,13 +40,14 @@ from ..task.model import StripsTask
 from .values import HeuristicValue, from_float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelaxationTable:
-    """Converged DP tables: per-proposition and per-action costs (math.inf
-    for unreachable) and the iteration count at convergence."""
+    """Converged DP tables as read-only float64 arrays, `prop_cost` per
+    proposition and `action_cost` per action (inf for unreachable), and the
+    iteration count at convergence. Tables compare by identity."""
 
-    prop_cost: tuple[float, ...]
-    action_cost: tuple[float, ...]
+    prop_cost: np.ndarray
+    action_cost: np.ndarray
     iterations: int
 
 
@@ -43,36 +56,37 @@ def relaxation_table(task: StripsTask, state: frozenset[int], which: str) -> Rel
         raise ValueError(f"which must be 'add' or 'max', got {which!r}")
     combine = np.add if which == "add" else np.maximum
     inc = task.incidence
-    h = np.full(len(task.propositions), math.inf)
+    n = len(task.propositions)
+    h = np.full(n + 1, math.inf)
     h[np.fromiter(state, dtype=np.intp, count=len(state))] = 0.0
-    ha = np.zeros(len(task.actions))
+    h[n] = 0.0
 
     iterations = 0
     while True:
         iterations += 1
-        ha[inc.pre_actions] = combine.reduceat(h[inc.pre], inc.pre_starts)
-        best = np.minimum.reduceat((ha + inc.cost)[inc.achievers], inc.ach_starts)
-        new = h.copy()
-        new[inc.ach_props] = np.minimum(h[inc.ach_props], best)
+        ha = combine.reduceat(h[inc.pre], inc.pre_starts)
+        new = np.minimum(h, np.minimum.reduceat((ha + inc.cost)[inc.achievers],
+                                                inc.ach_starts))
         # Entries are +0.0, positive integer-valued floats or +inf (never NaN
         # or -0.0), so equal bytes means equal tables.
         if new.tobytes() == h.tobytes():
             break
         h = new
-    return RelaxationTable(tuple(h.tolist()), tuple(ha.tolist()), iterations)
+    prop_cost, action_cost = h[:n], ha[:-1]
+    prop_cost.flags.writeable = action_cost.flags.writeable = False
+    return RelaxationTable(prop_cost, action_cost, iterations)
 
 
-def _goal_value(task: StripsTask, table: RelaxationTable, which: str) -> float:
-    goal = [table.prop_cost[p] for p in task.goal]
-    if which == "add":
-        return sum(goal)
-    return max(goal, default=0.0)
+def _goal_costs(task: StripsTask, table: RelaxationTable) -> np.ndarray:
+    return table.prop_cost[np.fromiter(task.goal, dtype=np.intp, count=len(task.goal))]
 
 
 def h_dp(task: StripsTask, state: frozenset[int], which: str) -> HeuristicValue:
     """h_add or h_max of the state, with the DP iteration count."""
     table = relaxation_table(task, state, which)
-    return from_float(_goal_value(task, table, which), table.iterations)
+    goal = _goal_costs(task, table)
+    value = goal.sum() if which == "add" else goal.max(initial=0.0)
+    return from_float(value, table.iterations)
 
 
 def h_max(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
@@ -86,12 +100,19 @@ def h_add(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
 def h_ff(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
     """Relaxed-plan heuristic: best-supporter extraction over the additive
     fixpoint; value = number of distinct actions in the relaxed plan.
-    Supporter ties break on lowest action id for determinism."""
+    A fact's best supporter is the lowest action id among its achievers of
+    least support (action cost plus its h_add table entry)."""
     table = relaxation_table(task, state, "add")
-    if any(math.isinf(table.prop_cost[p]) for p in task.goal):
+    if not np.isfinite(_goal_costs(task, table)).all():
         return from_float(math.inf, table.iterations)
     inc = task.incidence
-    support = np.add(table.action_cost, inc.cost).tolist()
+    sentinel = len(task.actions)
+    support = np.append(table.action_cost, 0.0) + inc.cost
+    offered = support[inc.achievers]
+    least = np.minimum.reduceat(offered, inc.ach_starts)
+    chosen = np.minimum.reduceat(np.where(offered == least[inc.ach_prop], inc.achievers,
+                                          sentinel), inc.ach_starts).tolist()
+    actions = task.actions
     plan: set[int] = set()
     agenda = list(task.goal)
     closed = set(state)
@@ -100,10 +121,9 @@ def h_ff(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
         if p in closed:
             continue
         closed.add(p)
-        # min keeps the first minimum, and supporters ascend by action id
-        best = min(inc.supporters[p], key=support.__getitem__, default=None)
-        if best is None or math.isinf(support[best]):
+        best = chosen[p]
+        if best == sentinel:
             raise RuntimeError(f"reachable fact {p} has no achiever")
         plan.add(best)
-        agenda.extend(task.actions[best].pre)
+        agenda.extend(actions[best].pre)
     return HeuristicValue(len(plan), table.iterations)

@@ -263,44 +263,55 @@ class PackedMasks:
 
 @dataclass(frozen=True, eq=False)
 class RelaxedIncidence:
-    """Flat index arrays of a STRIPS task's delete relaxation.
+    """Flat index arrays of a STRIPS task's delete relaxation, padded so
+    that every segment is non-empty.
 
-    `pre` lists precondition ids grouped by action in ascending action
-    order; `pre_actions` are the actions with at least one precondition and
-    `pre_starts` their segment starts in `pre`. `achievers` lists achiever
-    action ids grouped by proposition, ascending action id within each
-    group; `ach_props` are the propositions with at least one achiever and
-    `ach_starts` their segment starts. `supporters[p]` is the achiever group
-    of p as a tuple, empty when p has none. `cost` holds action costs.
+    With n propositions and A actions, proposition slot n and action slot A
+    are sentinels. `pre` lists precondition ids in one segment per action
+    slot 0..A, ascending action order, starting at `pre_starts`; an action
+    without preconditions, and the sentinel action, read the sentinel
+    proposition n, which the relaxation holds at cost 0. `achievers` lists
+    achiever action ids in one segment per proposition slot 0..n, ascending
+    action id within each, starting at `ach_starts`; `ach_prop` is the
+    owning proposition of each entry. A proposition without achievers, and
+    the sentinel proposition, read the sentinel action A, whose `cost`
+    entry is inf; `cost` holds the A action costs and then that inf.
+    `supporters[p]` is the unpadded achiever group of p as a tuple, empty
+    when p has none.
     """
 
     pre: np.ndarray
-    pre_actions: np.ndarray
     pre_starts: np.ndarray
     achievers: np.ndarray
-    ach_props: np.ndarray
     ach_starts: np.ndarray
+    ach_prop: np.ndarray
     supporters: tuple[tuple[int, ...], ...]
     cost: np.ndarray
 
     @classmethod
     def of(cls, task: StripsTask) -> RelaxedIncidence:
-        pre_sizes = np.array([len(a.pre) for a in task.actions], dtype=np.intp)
-        pre = np.array([p for a in task.actions for p in sorted(a.pre)], dtype=np.intp)
-        pre_actions = np.flatnonzero(pre_sizes)
-        pre_starts = (np.cumsum(pre_sizes) - pre_sizes)[pre_actions]
+        n, actions = len(task.propositions), len(task.actions)
+        pres = [sorted(a.pre) or [n] for a in task.actions]
+        pres.append([n])
+        pre = np.array([p for ps in pres for p in ps], dtype=np.intp)
+        pre_sizes = np.array([len(ps) for ps in pres], dtype=np.intp)
+        pre_starts = np.cumsum(pre_sizes) - pre_sizes
         add_sizes = [len(a.add) for a in task.actions]
         added = np.array([p for a in task.actions for p in a.add], dtype=np.intp)
-        adder = np.repeat(np.arange(len(task.actions), dtype=np.intp), add_sizes)
-        achievers = adder[np.argsort(added, kind="stable")]
-        counts = np.bincount(added, minlength=len(task.propositions))
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        ach_props = np.flatnonzero(counts)
-        flat, ends = achievers.tolist(), bounds.tolist()
-        supporters = tuple(tuple(flat[lo:hi]) for lo, hi in zip(ends, ends[1:]))
-        cost = np.array([a.cost for a in task.actions], dtype=np.float64)
-        return cls(pre, pre_actions, pre_starts, achievers, ach_props, bounds[ach_props],
-                   supporters, cost)
+        counts = np.bincount(added, minlength=n + 1)
+        unachieved = np.flatnonzero(counts == 0)      # includes the sentinel n
+        owner = np.concatenate((added, unachieved))
+        adder = np.repeat(np.arange(actions + 1, dtype=np.intp),
+                          add_sizes + [len(unachieved)])
+        order = np.argsort(owner, kind="stable")
+        achievers, ach_prop = adder[order], owner[order]
+        counts[unachieved] = 1
+        ach_starts = np.cumsum(counts) - counts
+        flat, starts, sizes = achievers.tolist(), ach_starts.tolist(), counts.tolist()
+        supporters = tuple(() if flat[lo] == actions else tuple(flat[lo:lo + k])
+                           for lo, k in zip(starts[:n], sizes))
+        cost = np.array([a.cost for a in task.actions] + [np.inf], dtype=np.float64)
+        return cls(pre, pre_starts, achievers, ach_starts, ach_prop, supporters, cost)
 
 
 @dataclass(frozen=True)

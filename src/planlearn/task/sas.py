@@ -122,12 +122,12 @@ def parse_sas(text: str) -> FdrTask:
         n_effects = src.next_int("effect count")
         for _ in range(n_effects):
             nums = src.next_ints("pre/post line")
-            if len(nums) < 4:
-                raise ParseError("malformed pre/post line", line=src.pos)
-            n_conds = nums[0]
-            if n_conds != 0:
+            if len(nums) >= 4 and nums[0] != 0:
                 raise UnsupportedFeature("conditional effects")
-            v, d_pre, d_post = nums[1], nums[2], nums[3]
+            if len(nums) != 4:
+                raise ParseError("malformed pre/post line", line=src.pos,
+                                 expected="4 integers when the condition count is 0")
+            _, v, d_pre, d_post = nums
             check_fact(v, 0 if d_pre == -1 else d_pre, f"operator {name}")
             check_fact(v, d_post, f"operator {name}")
             if d_pre != -1:

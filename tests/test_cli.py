@@ -424,6 +424,8 @@ PARSE_DAMAGE = {
     "--sas": ("--sas", _truncate),
     "sas-goal-one-integer": ("--sas", lambda text: text.replace("begin_goal\n1\n1 1\n",
                                                                 "begin_goal\n1\n1\n")),
+    "sas-effect-trailing-integer": ("--sas", lambda text: text.replace("\n0 0 0 1\n",
+                                                                       "\n0 0 0 1 7\n", 1)),
     "parameters-not-a-list": ("--domain", lambda text: text.replace(
         ":parameters (?from ?to)", ":parameters ?x (?from ?to)")),
     "requirement-list": ("--domain", lambda text: text.replace(
@@ -435,10 +437,10 @@ PARSE_DAMAGE = {
 
 @pytest.mark.parametrize("case", PARSE_DAMAGE)
 def test_parse_error_names_the_file(tmp_path, capsys, case):
-    """A truncated input file, a SAS goal fact of one integer, an action
-    whose :parameters is not a list, and a requirement or domain name that
-    is a list each give one error line that names the file, exit 1 and no
-    out-dir."""
+    """A truncated input file, a SAS goal fact of one integer, a SAS effect
+    line with an integer after its four, an action whose :parameters is not
+    a list, and a requirement or domain name that is a list each give one
+    error line that names the file, exit 1 and no out-dir."""
     flag, damage = PARSE_DAMAGE[case]
     source = {"--domain": DOMAIN, "--problem": PROBLEM,
               "--sas": str(FIXTURES / "gripper-b1.sas")}[flag]
@@ -454,6 +456,48 @@ def test_parse_error_names_the_file(tmp_path, capsys, case):
     assert code == 1
     assert err.count("\n") == 1 and err.startswith(f"error: {bad}: "), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["out-dir-is-a-file", "domain-is-a-directory",
+                                  "output-is-a-directory"])
+def test_file_system_error_is_one_line(tmp_path, capsys, case):
+    """An --out-dir that names an existing file, a --domain that names a
+    directory and an output file (`task.strips`) that is an existing
+    directory each give one error line naming the path the user gave, exit
+    1, and leave the file system as it was: no `*.tmp` remains."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = tmp_path / "out"
+    if case == "output-is-a-directory":
+        (out / "task.strips").mkdir(parents=True)
+    out, domain, named = {
+        "out-dir-is-a-file": (taken, DOMAIN, taken),
+        "domain-is-a-directory": (out, str(FIXTURES), FIXTURES),
+        "output-is-a-directory": (out, DOMAIN, out / "task.strips")}[case]
+    before = sorted(tmp_path.rglob("*"))
+    code = run(["ground", "--domain", domain, "--problem", PROBLEM, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith(f"error: {named}: "), err
+    assert taken.read_text() == "kept\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_write_error_without_a_path_is_one_line(tmp_path, capsys, monkeypatch):
+    """An OSError that names no file, as a full disk gives while an output
+    is written, prints its own text on one line rather than `None`, and the
+    temporary file it was writing is removed."""
+    def full_disk(path, text, *args, **kwargs):
+        with open(path, "w") as f:
+            f.write(text[:1])
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    out = tmp_path / "out"
+    code = run(["ground", *FIXTURE_INPUT, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert [p.name for p in out.iterdir()] == []
 
 
 def _refuse(*args, **kwargs):

@@ -13,6 +13,7 @@ import math
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from planlearn import bench
 from planlearn.expressiveness import random_unit_task
 from planlearn.heuristics import relaxation as fast
 from planlearn.heuristics.values import HeuristicValue, from_float
+from planlearn.search import ConstantHeuristic, gbfs
 from planlearn.seeding import derive_seed
 from planlearn.task import StripsAction, StripsTask, ground, parse_pddl, successors
 
@@ -71,6 +73,13 @@ def relaxation_table(task: StripsTask, state: frozenset[int], which: str,
     return RelaxationTable(tuple(h), tuple(ha), iterations, tuple(history))
 
 
+def h_dp(task: StripsTask, state: frozenset[int], which: str) -> HeuristicValue:
+    table = relaxation_table(task, state, which)
+    goal = [table.prop_cost[p] for p in task.goal]
+    value = sum(goal) if which == "add" else max(goal, default=0.0)
+    return from_float(value, table.iterations)
+
+
 def h_ff(task: StripsTask, state: frozenset[int]) -> HeuristicValue:
     """Relaxed-plan heuristic: best-supporter extraction over the additive
     fixpoint; value = number of distinct actions in the relaxed plan.
@@ -109,10 +118,12 @@ def assert_same(task, state):
     for which in ("add", "max"):
         got = fast.relaxation_table(task, state, which)
         want = relaxation_table(task, state, which)
-        assert got.prop_cost == want.prop_cost, which
-        assert got.action_cost == want.action_cost, which
+        assert got.prop_cost.tolist() == list(want.prop_cost), which
+        assert got.action_cost.tolist() == list(want.action_cost), which
         assert got.iterations == want.iterations, which
-        assert all(type(x) is float for x in got.prop_cost + got.action_cost)
+        for array in (got.prop_cost, got.action_cost):
+            assert array.dtype == np.float64 and not array.flags.writeable
+        assert fast.h_dp(task, state, which) == h_dp(task, state, which), which
     assert fast.h_ff(task, state) == h_ff(task, state)
 
 
@@ -136,6 +147,22 @@ def test_random_unit_tasks_match_reference(seed, costs, extra):
         dataclasses.replace(a, cost=c) for a, c in zip(task.actions, costs)))
     state = task.init | {p for p in extra if p < len(task.propositions)}
     assert_same(weighted, state)
+
+
+# Action costs up to 10**12, where supports are no longer small integers,
+# and many zero costs, which make supporter ties.
+COSTS = st.one_of(st.just(0), st.just(10**12), st.integers(0, 10**12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), costs=st.lists(COSTS, min_size=8, max_size=8),
+       extra=st.sets(st.integers(0, 7)))
+def test_large_and_zero_costs_match_reference(seed, costs, extra):
+    task = random_unit_task(np.random.default_rng(seed))
+    weighted = dataclasses.replace(task, actions=tuple(
+        dataclasses.replace(a, cost=c) for a, c in zip(task.actions, costs)))
+    assert_same(weighted, weighted.init)
+    assert_same(weighted, task.init | {p for p in extra if p < len(task.propositions)})
 
 
 def test_action_without_preconditions():
@@ -171,8 +198,16 @@ def test_task_without_actions():
     task = strips(2, [], {0}, {1})
     assert_same(task, task.init)
     table = fast.relaxation_table(task, task.init, "add")
-    assert table.action_cost == () and table.iterations == 1
+    assert table.action_cost.tolist() == [] and table.iterations == 1
     assert_same(strips(2, [], {0, 1}, {1}), frozenset({0, 1}))
+
+
+def test_tables_compare_by_identity(gripper_ground):
+    # Array fields make field-wise == ambiguous; a table equals only itself.
+    task, _ = gripper_ground
+    table = fast.relaxation_table(task, task.init, "add")
+    again = fast.relaxation_table(task, task.init, "add")
+    assert table == table and table != again and hash(table) == hash(table)
 
 
 def test_state_holding_every_fact(gripper_ground):
@@ -205,8 +240,12 @@ def test_incidence_is_bound_to_the_task():
     task = strips(3, [action("b", pre={1, 0}, add={2}), action("a", add={2, 1})], {0}, {2})
     inc = task.incidence
     assert task.incidence is inc
-    assert inc.pre.tolist() == [0, 1] and inc.pre_actions.tolist() == [0]
-    assert inc.achievers.tolist() == [1, 0, 1] and inc.ach_props.tolist() == [1, 2]
+    # Sentinels: proposition slot 3 (held at 0) and action slot 2 (cost inf).
+    assert inc.pre.tolist() == [0, 1, 3, 3] and inc.pre_starts.tolist() == [0, 2, 3]
+    assert inc.achievers.tolist() == [2, 1, 0, 1, 2]
+    assert inc.ach_starts.tolist() == [0, 1, 2, 4]
+    assert inc.ach_prop.tolist() == [0, 1, 2, 2, 3]
+    assert inc.cost.tolist() == [1.0, 1.0, math.inf]
     assert inc.supporters == ((), (1,), (0, 1))
     twin = strips(3, list(task.actions), {0}, {2})
     assert twin == task and hash(twin) == hash(task)
@@ -224,6 +263,32 @@ def bounded_bfs(task, limit):
                 order.append(nxt)
                 queue.append(nxt)
     return [task.decode(s) for s in order]
+
+
+class RecordingHeuristic(ConstantHeuristic):
+    """The constant heuristic, keeping every state it is asked about."""
+
+    def __init__(self):
+        super().__init__()
+        self.states = []
+
+    def evaluate_batch(self, states):
+        self.states.extend(states)
+        return super().evaluate_batch(states)
+
+
+@pytest.mark.parametrize("domain, size", [("gripper", 3), ("blocksworld", 4), ("visitall", 3)])
+def test_blind_search_states_match_reference(domain, size):
+    # Every state a constant-heuristic (breadth-first) gbfs evaluates, the
+    # initial one included, on a small instance seeded as the hff search
+    # workload seeds its first copy.
+    text = bench.GENERATORS[domain](size, seed=derive_seed(0, f"{domain}-{size}-0"))
+    task, _ = ground(parse_pddl(bench.DOMAIN_TEXT[domain], text))
+    heuristic = RecordingHeuristic()
+    result = gbfs(task, heuristic)
+    assert result.status == "solved" and len(heuristic.states) == result.evaluations > 80
+    for state in heuristic.states:
+        assert_same(task, task.decode(state))
 
 
 def test_benchmark_search_instances_match_reference():
