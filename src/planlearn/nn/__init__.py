@@ -6,6 +6,7 @@ from .model import (
     backward_packed,
     forward,
     forward_batch,
+    forward_models,
     forward_packed,
     init_model,
     pack_graphs,
@@ -23,6 +24,6 @@ from .train import (
 __all__ = [
     "Adam", "LabeledGraphSample", "LrSchedule", "MpnnModel", "PackedBatch",
     "TrainConfig", "TrainTrace", "backward_packed", "forward", "forward_batch",
-    "forward_packed", "init_model", "load_model", "model_from_json",
+    "forward_models", "forward_packed", "init_model", "load_model", "model_from_json",
     "model_to_json", "pack_graphs", "train",
 ]

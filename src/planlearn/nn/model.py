@@ -55,6 +55,15 @@ Every other estimate is one forward of one graph, because a several-graph
 forward differs from per-graph ones in the last digits (OpenBLAS picks its
 kernel by row count), and search values must not depend on batching.
 
+Several models on one graph do not have that problem. `forward_models`
+keeps model s's hidden state in columns s*F to (s+1)*F of one (N, S*F)
+array and multiplies it by each model's weights in a separate gemm on the
+strided (N, F) block. Every gemm has exactly the row count, shapes and
+operands of a one-model forward, so OpenBLAS picks the same kernel. The
+aggregation, ReLU and readout are column-wise, so running them once over
+the whole width changes no value. Each entry therefore equals `forward`
+bit for bit, while the per-call overhead is paid once per group.
+
 The backward scatters into sources rather than destinations, and uses the
 destination index for that too. `LearningGraph.adjacency` lists each
 undirected edge as the adjacent pair (u->v, v->u) and has no self-loops,
@@ -144,8 +153,9 @@ def init_model(kind: GraphKind, layer_count: int = 8, hidden_dim: int = 64,
 class PackedBatch:
     """Disjoint union of graphs sharing one node-feature matrix.
 
-    `plans` is the graph's own plan-entry table for a one-graph batch and
-    None for several graphs, whose plan lives for one forward and backward."""
+    A one-graph batch holds the graph's own feature and adjacency arrays and,
+    in `plans`, its plan-entry table; several graphs get copies offset into
+    one node range and None, their plan living for one forward and backward."""
 
     kind: GraphKind
     features: np.ndarray                       # (N, d)
@@ -166,10 +176,14 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
                 f"mixed graph kinds in batch: {g.kind} vs {kind}")
         if g.num_nodes == 0:
             raise ValueError("cannot evaluate a graph with no nodes")
-    features = np.concatenate([g.features for g in graphs], axis=0)
     counts = np.array([g.num_nodes for g in graphs], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     segments = np.repeat(np.arange(len(graphs), dtype=np.int64), counts)
+    if len(graphs) == 1:
+        (g,) = graphs
+        return PackedBatch(kind, g.features, {lab: g.adjacency(lab) for lab in kind.labels},
+                           segments, 1, counts, g._plans)
+    features = np.concatenate([g.features for g in graphs], axis=0)
+    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
     adjacency = {}
     for lab in kind.labels:
         dsts, srcs = [], []
@@ -183,8 +197,7 @@ def pack_graphs(graphs: list[LearningGraph]) -> PackedBatch:
         else:
             empty = np.zeros(0, dtype=np.int64)
             adjacency[lab] = (empty, empty)
-    return PackedBatch(kind, features, adjacency, segments, len(graphs), counts,
-                       graphs[0]._plans if len(graphs) == 1 else None)
+    return PackedBatch(kind, features, adjacency, segments, len(graphs), counts)
 
 
 # ── aggregation plans ─────────────────────────────────────────────────────
@@ -415,3 +428,77 @@ def forward(model: MpnnModel, graph: LearningGraph) -> float:
 def forward_batch(model: MpnnModel, graphs: list[LearningGraph]) -> np.ndarray:
     """`forward` mapped over the list: each value depends only on its graph."""
     return np.array([forward(model, g) for g in graphs], dtype=np.float64)
+
+
+# ── several models on one graph ───────────────────────────────────────────
+
+def _per_model_linear(x, weights):
+    """x times every model's weight matrix transposed, models side by side.
+
+    `weights` is the (S, F_out, F_in) stack of the models' matrices and `x`
+    either the (N, S*F_in) hidden state, model s in columns s*F_in to
+    (s+1)*F_in, or an (N, F_in) input every model shares. The result is
+    (N, S*F_out) in the same layout, from one gemm per model with exactly
+    the operands of a one-model forward: a strided (N, F_in) block times a
+    transposed (F_out, F_in) matrix, written into its strided block."""
+    count, f_out, f_in = weights.shape
+    n = x.shape[0]
+    if x.shape[1] != f_in:
+        x = x.reshape(n, count, f_in).transpose(1, 0, 2)
+    out = np.empty((n, count * f_out))
+    np.matmul(x, weights.transpose(0, 2, 1), out=out.reshape(n, count, f_out).transpose(1, 0, 2))
+    return out
+
+
+def _common_architecture(models: list[MpnnModel]) -> MpnnModel:
+    """The first model, after checking that every model shares its kind,
+    layer count, hidden width, aggregator and readout."""
+    if not models:
+        raise ValueError("forward_models needs at least one model")
+    first = models[0]
+    for m in models[1:]:
+        if (m.kind, m.layer_count, m.hidden_dim) != (first.kind, first.layer_count,
+                                                      first.hidden_dim):
+            raise DimensionMismatch(
+                f"model {m.kind.name} with {m.layer_count}x{m.hidden_dim} in a group of "
+                f"{first.kind.name} with {first.layer_count}x{first.hidden_dim}")
+        if (m.aggregator, m.readout) != (first.aggregator, first.readout):
+            raise ValueError(
+                f"model with {m.aggregator}/{m.readout} in a group of "
+                f"{first.aggregator}/{first.readout}")
+    return first
+
+
+def forward_models(models: list[MpnnModel], graphs: list[LearningGraph]) -> np.ndarray:
+    """(len(graphs), len(models)) array of forward(models[s], graphs[i]),
+    bit for bit, from one forward per graph that carries every model.
+
+    The models must share one architecture. Model s's hidden state lives in
+    columns s*F to (s+1)*F of one (N, S*F) array: each weight product is one
+    gemm per model (`_per_model_linear`), and aggregation, ReLU and readout
+    run once over the whole width with the graph's plan for width S*F. Only
+    the last head product stays one gemv per model."""
+    first = _common_architecture(models)
+    count, width = len(models), first.hidden_dim
+    stack = {name: np.stack([m.params[name] for m in models]) for name in first.params}
+    out = np.empty((len(graphs), count))
+    for i, graph in enumerate(graphs):
+        batch = pack_graphs([graph])
+        _check_kind(first, batch.kind, batch.features.shape[1])
+        plan = _plan(batch, count * width)
+        h = _per_model_linear(batch.features, stack["input_proj"])
+        for t in range(first.layer_count):
+            z = _per_model_linear(h, stack[f"layer{t}.self"])
+            z += stack[f"layer{t}.bias"].ravel()
+            for lab, lp in plan.labels.items():
+                z += _aggregate(_per_model_linear(h, stack[f"layer{t}.label.{lab}"]), lp,
+                                first.aggregator)[0]
+            h = np.where(z > 0, z, 0.0)
+        g, _ = _segment_reduce(h, plan, batch, first.readout)
+        z1 = _per_model_linear(g, stack["head.w1"])
+        z1 += stack["head.b1"].ravel()
+        a1 = np.where(z1 > 0, z1, 0.0)
+        for s, m in enumerate(models):
+            out[i, s] = (a1[:, s * width:(s + 1) * width] @ m.params["head.w2"]
+                         + m.params["head.b2"][0])[0]
+    return out

@@ -122,10 +122,16 @@ class Adam:
         bc1 = 1 - c.beta1 ** self.t
         bc2 = 1 - c.beta2 ** self.t
         for k, p in params.items():
-            g = grads[k]
-            self.m[k] = c.beta1 * self.m[k] + (1 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1 - c.beta2) * g * g
-            p -= lr * (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.eps)
+            # m = beta1*m + (1-beta1)*g and v = beta2*v + (1-beta2)*g*g,
+            # in place and in that operation order
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= c.beta1
+            m += (1 - c.beta1) * g
+            g2 = (1 - c.beta2) * g
+            g2 *= g
+            v *= c.beta2
+            v += g2
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
 
 
 def _mse_and_grad(model: MpnnModel, batch, targets: np.ndarray):

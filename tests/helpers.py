@@ -2,8 +2,8 @@
 search, measurements, writers of suites and model files, readers of the
 CLI's task and graph dumps, the finite-domain graph of one value tuple,
 exact joint color refinement and reference implementations (successors,
-FDR successor semantics, h+, graph builders, the network) that only the
-tests need."""
+FDR successor semantics, h+, graph builders, the network, the per-model
+twin gap) that only the tests need."""
 
 import heapq
 import itertools
@@ -19,7 +19,7 @@ from planlearn.expressiveness.wl import _refine, _transformed
 from planlearn.graphs import GraphKind, IndexEncoder, LearningGraph, flg_kind, llg_kind, slg_kind
 from planlearn.graphs.builders import flg_graphs
 from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
-from planlearn.nn import model_to_json
+from planlearn.nn import forward, init_model, model_to_json
 from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.seeding import derive_seed
 from planlearn.task import Atom, FdrTask, LiftedTask, StripsAction, StripsTask, ground, parse_pddl
@@ -560,3 +560,16 @@ def reference_forward_backward(model, graphs: list[LearningGraph], dout: np.ndar
             dh += dM @ w
     grads["input_proj"][:] = dh.T @ features
     return out, grads
+
+
+def reference_model_gap(g1: LearningGraph, g2: LearningGraph, models: int, seed: int,
+                        layer_count: int = 4, hidden_dim: int = 16) -> float:
+    """The per-model loop that `expressiveness.report.model_gap` ran before it
+    evaluated its models in groups: largest |forward(G1) - forward(G2)| over
+    seeded random models, one model and two forwards at a time."""
+    worst = 0.0
+    for i in range(models):
+        model = init_model(g1.kind, layer_count, hidden_dim, aggregator="mean",
+                           readout="sum", seed=derive_seed(seed, f"gap-model-{i}"))
+        worst = max(worst, abs(forward(model, g1) - forward(model, g2)))
+    return worst

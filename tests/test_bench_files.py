@@ -4,7 +4,8 @@ timed and no wall time is gated. Each file is checked against its own
 contents, not the current BENCHMARK.json, since the files are a history
 and the workloads change: it names at least one workload, every run was
 correct, digests are 16 hex digits and each summary is the median and
-quartiles of the runs it lists."""
+quartiles of the runs it lists. A file may also hold one traced run per
+workload."""
 
 import importlib.util
 import json
@@ -50,6 +51,20 @@ def test_trajectory_file_schema(path):
             q1, median, q3 = statistics.quantiles([run[metric] for run in runs], n=4,
                                                   method="inclusive")
             assert entry[metric] == {"q1": q1, "median": median, "q3": q3}, (name, metric)
+        if "trace" in entry:
+            check_trace(entry["trace"], entry["digest"], name)
+
+
+def check_trace(trace, digest, name):
+    """A traced run's block, which files written before the tool made one
+    lack: a correct run with the untraced runs' digest, and per layer a
+    non-negative busy time, self time and call count."""
+    assert trace["correct"] is True and trace["digest"] == digest, name
+    metrics = trace["metrics"]
+    layers = {key.rsplit(".", 1)[0] for key in metrics if key.endswith(".calls")}
+    assert layers, name
+    for layer in layers:
+        assert all(metrics[f"{layer}.{stat}"] >= 0 for stat in ("s", "self_s", "calls")), layer
 
 
 def test_parse_run_reads_perfbench_output():
@@ -83,3 +98,19 @@ def test_summary_is_median_and_quartiles_of_the_runs():
     assert [r["work_per_s"] for r in entry["per_run"]] == [5.0, 1.0, 4.0, 2.0, 3.0]
     mixed = tool.summarise([*runs[:4], {**runs[4], "digest": "1" * 16}])
     assert not mixed["correct"] and mixed["digest"] is None
+
+
+def test_parse_trace_keeps_every_metric():
+    tool = load_tool()
+    stdout = "\n".join([
+        "# environment {}",
+        "# round-0 digest 135442ac8be90fdd",
+        json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "nn.forward.s": {"value": 0.25, "unit": "s"},
+            "nn.forward.calls": {"value": 1601.0, "unit": "count"},
+            "search.expansions": {"value": 0, "unit": "count"}}}),
+    ])
+    trace = tool.parse_trace(stdout, 0)
+    assert trace == {"correct": True, "digest": "135442ac8be90fdd", "metrics": {
+        "nn.forward.calls": 1601.0, "nn.forward.s": 0.25, "search.expansions": 0}}
+    assert not tool.parse_trace(stdout, 1)["correct"]

@@ -13,8 +13,16 @@ from planlearn.graphs import (
     slg_kind,
     state_graphs,
 )
-from planlearn.nn import forward, forward_batch, forward_packed, init_model, pack_graphs
-from planlearn.nn.model import AGGREGATORS
+from planlearn.expressiveness.report import _views
+from planlearn.nn import (
+    forward,
+    forward_batch,
+    forward_models,
+    forward_packed,
+    init_model,
+    pack_graphs,
+)
+from planlearn.nn.model import AGGREGATORS, READOUTS
 from planlearn.seeding import rng_for
 from planlearn.task import ground, parse_pddl
 
@@ -199,3 +207,92 @@ def test_empty_neighborhood_contributes_zero():
     z1 = np.maximum(p["head.w1"] @ pooled + p["head.b1"], 0.0)
     expect = float(p["head.w2"] @ z1 + p["head.b2"][0])
     assert forward(m, g) == pytest.approx(expect, abs=1e-12)
+
+
+# ── several models on one graph ───────────────────────────────────────────
+
+def _model_graph_sets():
+    """(id, graphs): the grounded twins' three encodings, as the theory run
+    builds them, and a gripper-4 search state's slg and llg, the latter an
+    `extended` copy of its task's schema subgraph."""
+    twins = [_views(task, seed=0) for task in grounded_twin_pair()]
+    sets = [(f"twins-{kind}", [views[kind] for views in twins]) for kind in ("slg", "flg", "llg")]
+    lifted = parse_pddl(DOMAIN_TEXT["gripper"], gripper_problem(4))
+    strips, gmap = ground(lifted)
+    state = reachable_states(strips)[9]
+    for kind in ("slg", "llg"):
+        graph_of = state_graphs(kind, strips, lifted, gmap, IndexEncoder(4, seed=0))
+        sets.append((f"gripper4-{kind}", [graph_of(state)]))
+    return sets
+
+
+MODEL_GRAPH_SETS = _model_graph_sets()
+
+
+@pytest.mark.parametrize("readout", READOUTS)
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+@pytest.mark.parametrize("graphs", [graphs for _, graphs in MODEL_GRAPH_SETS],
+                         ids=[name for name, _ in MODEL_GRAPH_SETS])
+def test_forward_models_equals_forward(graphs, aggregator, readout):
+    """Every entry of forward_models is forward's value bit for bit, for any
+    width, layer count and group size."""
+    kind = graphs[0].kind
+    for layers, width in ((4, 16), (8, 64), (2, 7)):
+        for count in (1, 3, 7):
+            models = [init_model(kind, layers, width, aggregator, readout, seed=100 * count + i)
+                      for i in range(count)]
+            got = forward_models(models, graphs)
+            want = np.array([[forward(m, g) for m in models] for g in graphs])
+            assert got.shape == (len(graphs), count)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (layers, width, count)
+
+
+def _group_of(**changes):
+    """Two slg models, the second with `changes` to its architecture."""
+    spec = {"kind": slg_kind(), "layer_count": 2, "hidden_dim": 4, "aggregator": "mean",
+            "readout": "sum"}
+    return [init_model(**spec, seed=0), init_model(**{**spec, **changes}, seed=1)]
+
+
+@pytest.mark.parametrize("changes, error", [
+    ({"kind": flg_kind()}, DimensionMismatch),
+    ({"layer_count": 3}, DimensionMismatch),
+    ({"hidden_dim": 5}, DimensionMismatch),
+    ({"aggregator": "max"}, ValueError),
+    ({"readout": "mean"}, ValueError),
+], ids=["kind", "layers", "width", "aggregator", "readout"])
+def test_forward_models_rejects_mixed_architectures(gripper_ground, changes, error):
+    task, _ = gripper_ground
+    with pytest.raises(error):
+        forward_models(_group_of(**changes), [build_slg(task, task.init)])
+
+
+def test_forward_models_rejects_an_empty_group_and_a_foreign_graph(gripper_ground):
+    task, _ = gripper_ground
+    graph = build_slg(task, task.init)
+    with pytest.raises(ValueError):
+        forward_models([], [graph])
+    flg_models = [init_model(flg_kind(), 2, 4, seed=i) for i in range(2)]
+    with pytest.raises(DimensionMismatch):
+        forward_models(flg_models, [graph])
+
+
+def test_forward_leaves_the_graph_arrays_unchanged():
+    """A one-graph batch holds the graph's own feature and adjacency arrays,
+    and neither forward nor forward_models writes to them."""
+    for _, graphs in MODEL_GRAPH_SETS:
+        graph = graphs[0]
+        before = [graph.features.tobytes()] + [a.tobytes() for lab in graph.kind.labels
+                                               for a in graph.adjacency(lab)]
+        batch = pack_graphs([graph])
+        assert batch.features is graph.features
+        assert all(batch.adjacency[lab] is graph.adjacency(lab) for lab in graph.kind.labels)
+        for aggregator in AGGREGATORS:
+            for readout in READOUTS:
+                models = [init_model(graph.kind, 2, 8, aggregator, readout, seed=i)
+                          for i in range(3)]
+                forward(models[0], graph)
+                forward_models(models, [graph])
+        after = [graph.features.tobytes()] + [a.tobytes() for lab in graph.kind.labels
+                                              for a in graph.adjacency(lab)]
+        assert after == before

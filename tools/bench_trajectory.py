@@ -10,14 +10,19 @@ process started in the tree, at perfbench's default seed and lasting the
 named workload (default: every workload in that file) once on every tree,
 workload after workload, and the order of the trees flips from one repeat
 to the next: two trees' runs form pairs in alternating order, and drift on
-the host reaches both alike.
+the host reaches both alike. After the repeats, each workload runs once
+more on every tree as a `--trace 1` process, whose per-layer metrics
+(each traced layer's `.s`, `.self_s` and `.calls`, and the counters) say
+where the time of one set-up plus one round goes.
 
 For each tree the tool writes `BENCH_<yyyymmdd>_<shortsha>.json` into the
 tree, `<shortsha>` being its commit, followed by `-dirty` when `src/` or
-`perfbench/` differ from that commit. Per workload the file holds every run's end-to-end metrics in run order, their median and
-quartiles, the round-0 digest and whether every run was correct. It also
-records perfbench's environment line, the line count of the Python files
-under `src/` and a digest of their contents, which names the code measured.
+`perfbench/` differ from that commit. Per workload the file holds every
+run's end-to-end metrics in run order, their median and quartiles, the
+round-0 digest, whether every run was correct and, under `trace`, the
+traced run's correctness, digest and metrics. It also records
+perfbench's environment line, the line count of the Python files under
+`src/` and a digest of their contents, which names the code measured.
 With two trees it prints, per workload and metric, each tree's median and
 quartiles and in how many pairs the second tree read better.
 """
@@ -38,25 +43,39 @@ METRICS = {"work_per_s": "higher", "peak_rss_mb": "lower", "setup_s": "lower"}
 MIN_REPEATS = 5
 
 
+def _result(stdout: str) -> dict:
+    """The JSON object on perfbench's last output line, {} when there is none."""
+    lines = stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1]) if lines else {}
+    except json.JSONDecodeError:
+        return {}
+
+
 def parse_run(stdout: str, returncode: int) -> dict:
     """One perfbench process's result: its end-to-end metrics, round-0
     digest, environment and whether it reported itself correct."""
     run = {"digest": None, "environment": None}
-    lines = stdout.strip().splitlines()
-    for line in lines:
+    for line in stdout.splitlines():
         if line.startswith("# round-0 digest "):
             run["digest"] = line.split()[-1]
         elif line.startswith("# environment "):
             run["environment"] = json.loads(line[len("# environment "):])
-    try:
-        result = json.loads(lines[-1]) if lines else {}
-    except json.JSONDecodeError:
-        result = {}
+    result = _result(stdout)
     run["correct"] = result.get("correct") is True and returncode == 0
     for name in METRICS:
         if name in result.get("metrics", {}):
             run[name] = result["metrics"][name]["value"]
     return run
+
+
+def parse_trace(stdout: str, returncode: int) -> dict:
+    """One `--trace 1` process's entry: whether it reported itself correct,
+    its round-0 digest and every per-layer metric it reported, by name."""
+    run = parse_run(stdout, returncode)
+    metrics = _result(stdout).get("metrics", {})
+    return {"correct": run["correct"], "digest": run["digest"],
+            "metrics": {name: metrics[name]["value"] for name in sorted(metrics)}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -103,11 +122,11 @@ def tree_label(tree: Path) -> str:
     return sha + ("-dirty" if dirty else "")
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    return parse_run(proc.stdout, proc.returncode)
+    return (parse_trace if trace else parse_run)(proc.stdout, proc.returncode)
 
 
 def compare(name_a: str, a: dict, name_b: str, b: dict) -> list[str]:
@@ -156,12 +175,18 @@ def main(argv=None) -> int:
                 runs[tree][workload].append(run)
                 print(f"repeat {repeat} {workload} {tree.name}: "
                       f"{run.get('work_per_s')} correct={run['correct']}", file=sys.stderr)
+    traces = {tree: {} for tree in trees}
+    for workload in workloads:
+        for tree in trees:
+            trace = traces[tree][workload] = run_once(tree, workload, seconds, trace=1)
+            print(f"traced {workload} {tree.name}: correct={trace['correct']}", file=sys.stderr)
     summaries = []
     for tree, label in zip(trees, labels):
         lines, digest = source_stats(tree)
         environment = next((r["environment"] for rs in runs[tree].values() for r in rs
                             if r["environment"]), None)
-        summary = {w: summarise(rs) for w, rs in runs[tree].items()}
+        summary = {w: {**summarise(rs), "trace": traces[tree][w]}
+                   for w, rs in runs[tree].items()}
         record = {"tree": label, "date": day,
                   "repeats": args.repeats, "seconds": seconds,
                   "src_lines": lines, "src_digest": digest, "environment": environment,
@@ -172,7 +197,8 @@ def main(argv=None) -> int:
         summaries.append(summary)
     if len(trees) == 2:
         print("\n".join(compare(labels[0], summaries[0], labels[1], summaries[1])))
-    return 0 if all(e["correct"] for s in summaries for e in s.values()) else 1
+    return 0 if all(e["correct"] and e["trace"]["correct"]
+                    for s in summaries for e in s.values()) else 1
 
 
 if __name__ == "__main__":
