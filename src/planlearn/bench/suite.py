@@ -40,7 +40,7 @@ class SuiteSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.domain not in GENERATORS:
+        if not isinstance(self.domain, str) or self.domain not in GENERATORS:
             raise InvalidSize(f"unknown domain {self.domain!r}; "
                               f"choose from {sorted(GENERATORS)}")
         if not self.train or not self.test:

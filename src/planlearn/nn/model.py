@@ -55,14 +55,16 @@ Every other estimate is one forward of one graph, because a several-graph
 forward differs from per-graph ones in the last digits (OpenBLAS picks its
 kernel by row count), and search values must not depend on batching.
 
-Several models on one graph do not have that problem. `forward_models`
-keeps model s's hidden state in columns s*F to (s+1)*F of one (N, S*F)
-array and multiplies it by each model's weights in a separate gemm on the
-strided (N, F) block. Every gemm has exactly the row count, shapes and
-operands of a one-model forward, so OpenBLAS picks the same kernel. The
-aggregation, ReLU and readout are column-wise, so running them once over
-the whole width changes no value. Each entry therefore equals `forward`
-bit for bit, while the per-call overhead is paid once per group.
+One layer loop, `_forward`, runs S models side by side on one batch.
+Model s's hidden state lives in columns s*F to (s+1)*F of one (N, S*F)
+array; each weight product is one gemm per model on its strided block
+(`_per_model_linear`), and aggregation, ReLU and readout run once over the
+whole width. Every gemm has exactly the row count, shapes and operands of
+a one-model forward, so OpenBLAS picks the same kernel, and the rest is
+column-wise, so each entry of `forward_models` (the theory checks) equals
+`forward` bit for bit while the per-call overhead is paid once per group.
+`forward_packed` (training and search) is a group of one model: the loop
+gets the model's own parameters, and each product is plain x @ W.T.
 
 The backward scatters into sources rather than destinations, and uses the
 destination index for that too. `LearningGraph.adjacency` lists each
@@ -353,36 +355,68 @@ def _check_kind(model: MpnnModel, kind: GraphKind, dim: int):
         raise DimensionMismatch(f"feature dim {dim} != expected {model.kind.dim}")
 
 
-def forward_packed(model: MpnnModel, batch: PackedBatch, need_cache: bool = False):
-    """Outputs for every graph in the batch; optionally the backward cache."""
-    _check_kind(model, batch.kind, batch.features.shape[1])
-    p = model.params
-    plan = _plan(batch, model.hidden_dim)
+def _per_model_linear(x, weights):
+    """x times each model's weights transposed, models side by side.
 
-    h = batch.features @ p["input_proj"].T
+    `weights` is one model's (F_out, F_in) matrix, giving plain x @ W.T, or
+    a group's (S, F_out, F_in) stack. `x` is the (N, S*F_in) hidden state or
+    an (N, F_in) input all models share; the (N, S*F_out) result comes from
+    one gemm per model, a strided (N, F_in) block times a transposed matrix."""
+    if weights.ndim == 2:
+        return x @ weights.T
+    count, f_out, f_in = weights.shape
+    n = x.shape[0]
+    if x.shape[1] != f_in:
+        x = x.reshape(n, count, f_in).transpose(1, 0, 2)
+    out = np.empty((n, count * f_out))
+    np.matmul(x, weights.transpose(0, 2, 1), out=out.reshape(n, count, f_out).transpose(1, 0, 2))
+    return out
+
+
+def _forward(arch: MpnnModel, params: dict[str, np.ndarray], batch: PackedBatch,
+             need_cache: bool):
+    """(num_graphs, S) outputs and, with `need_cache`, the backward cache.
+    `params` is one model's parameters (S = 1) or S models' stacks."""
+    _check_kind(arch, batch.kind, batch.features.shape[1])
+    width = arch.hidden_dim
+    w2 = params["head.w2"].reshape(-1, width)
+    b2 = params["head.b2"].reshape(-1)
+    count = len(b2)
+    plan = _plan(batch, count * width)
+
+    h = _per_model_linear(batch.features, params["input_proj"])
     layer_cache = []
-    for t in range(model.layer_count):
-        z = h @ p[f"layer{t}.self"].T + p[f"layer{t}.bias"]
+    for t in range(arch.layer_count):
+        z = _per_model_linear(h, params[f"layer{t}.self"])
+        z += params[f"layer{t}.bias"].ravel()
         attains = {}
         for lab, lp in plan.labels.items():
-            agg, attains[lab] = _aggregate(h @ p[f"layer{t}.label.{lab}"].T, lp,
-                                           model.aggregator, need_cache)
+            agg, attains[lab] = _aggregate(_per_model_linear(h, params[f"layer{t}.label.{lab}"]),
+                                           lp, arch.aggregator, need_cache)
             z += agg
         mask = z > 0
-        new_h = np.where(mask, z, 0.0)
         if need_cache:
             layer_cache.append((h, mask, attains))
-        h = new_h
+        h = np.where(mask, z, 0.0)
 
-    g, readout_max = _segment_reduce(h, plan, batch, model.readout)
-    z1 = g @ p["head.w1"].T + p["head.b1"]
+    g, readout_max = _segment_reduce(h, plan, batch, arch.readout)
+    z1 = _per_model_linear(g, params["head.w1"])
+    z1 += params["head.b1"].ravel()
     a1 = np.where(z1 > 0, z1, 0.0)
-    out = a1 @ p["head.w2"] + p["head.b2"][0]
+    out = np.empty((batch.num_graphs, count))
+    for s in range(count):
+        out[:, s] = a1[:, s * width:(s + 1) * width] @ w2[s] + b2[s]
     if not need_cache:
         return out, None
     cache = {"layers": layer_cache, "final_h": h, "g": g, "z1": z1, "a1": a1,
              "readout_max": readout_max, "plan": plan}
     return out, cache
+
+
+def forward_packed(model: MpnnModel, batch: PackedBatch, need_cache: bool = False):
+    """Outputs for every graph in the batch; optionally the backward cache."""
+    out, cache = _forward(model, model.params, batch, need_cache)
+    return out[:, 0], cache
 
 
 def backward_packed(model: MpnnModel, batch: PackedBatch, cache, dout: np.ndarray):
@@ -432,24 +466,6 @@ def forward_batch(model: MpnnModel, graphs: list[LearningGraph]) -> np.ndarray:
 
 # ── several models on one graph ───────────────────────────────────────────
 
-def _per_model_linear(x, weights):
-    """x times every model's weight matrix transposed, models side by side.
-
-    `weights` is the (S, F_out, F_in) stack of the models' matrices and `x`
-    either the (N, S*F_in) hidden state, model s in columns s*F_in to
-    (s+1)*F_in, or an (N, F_in) input every model shares. The result is
-    (N, S*F_out) in the same layout, from one gemm per model with exactly
-    the operands of a one-model forward: a strided (N, F_in) block times a
-    transposed (F_out, F_in) matrix, written into its strided block."""
-    count, f_out, f_in = weights.shape
-    n = x.shape[0]
-    if x.shape[1] != f_in:
-        x = x.reshape(n, count, f_in).transpose(1, 0, 2)
-    out = np.empty((n, count * f_out))
-    np.matmul(x, weights.transpose(0, 2, 1), out=out.reshape(n, count, f_out).transpose(1, 0, 2))
-    return out
-
-
 def _common_architecture(models: list[MpnnModel]) -> MpnnModel:
     """The first model, after checking that every model shares its kind,
     layer count, hidden width, aggregator and readout."""
@@ -471,34 +487,12 @@ def _common_architecture(models: list[MpnnModel]) -> MpnnModel:
 
 def forward_models(models: list[MpnnModel], graphs: list[LearningGraph]) -> np.ndarray:
     """(len(graphs), len(models)) array of forward(models[s], graphs[i]),
-    bit for bit, from one forward per graph that carries every model.
-
-    The models must share one architecture. Model s's hidden state lives in
-    columns s*F to (s+1)*F of one (N, S*F) array: each weight product is one
-    gemm per model (`_per_model_linear`), and aggregation, ReLU and readout
-    run once over the whole width with the graph's plan for width S*F. Only
-    the last head product stays one gemv per model."""
+    bit for bit, from one forward per graph that carries every model of
+    one architecture."""
     first = _common_architecture(models)
-    count, width = len(models), first.hidden_dim
-    stack = {name: np.stack([m.params[name] for m in models]) for name in first.params}
-    out = np.empty((len(graphs), count))
+    params = (first.params if len(models) == 1 else
+              {name: np.stack([m.params[name] for m in models]) for name in first.params})
+    out = np.empty((len(graphs), len(models)))
     for i, graph in enumerate(graphs):
-        batch = pack_graphs([graph])
-        _check_kind(first, batch.kind, batch.features.shape[1])
-        plan = _plan(batch, count * width)
-        h = _per_model_linear(batch.features, stack["input_proj"])
-        for t in range(first.layer_count):
-            z = _per_model_linear(h, stack[f"layer{t}.self"])
-            z += stack[f"layer{t}.bias"].ravel()
-            for lab, lp in plan.labels.items():
-                z += _aggregate(_per_model_linear(h, stack[f"layer{t}.label.{lab}"]), lp,
-                                first.aggregator)[0]
-            h = np.where(z > 0, z, 0.0)
-        g, _ = _segment_reduce(h, plan, batch, first.readout)
-        z1 = _per_model_linear(g, stack["head.w1"])
-        z1 += stack["head.b1"].ravel()
-        a1 = np.where(z1 > 0, z1, 0.0)
-        for s, m in enumerate(models):
-            out[i, s] = (a1[:, s * width:(s + 1) * width] @ m.params["head.w2"]
-                         + m.params["head.b2"][0])[0]
+        out[i] = _forward(first, params, pack_graphs([graph]), False)[0][0]
     return out

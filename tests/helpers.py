@@ -2,8 +2,8 @@
 search, measurements, writers of suites and model files, readers of the
 CLI's task and graph dumps, the finite-domain graph of one value tuple,
 exact joint color refinement and reference implementations (successors,
-FDR successor semantics, h+, graph builders, the network, the per-model
-twin gap) that only the tests need."""
+FDR successor semantics, h+, graph builders, the network, its one-model
+layer loop, the per-model twin gap) that only the tests need."""
 
 import heapq
 import itertools
@@ -20,6 +20,7 @@ from planlearn.graphs import GraphKind, IndexEncoder, LearningGraph, flg_kind, l
 from planlearn.graphs.builders import flg_graphs
 from planlearn.heuristics import DEFAULT_FACT_BUDGET, DEFAULT_STATE_CAP, INFINITY, HeuristicValue
 from planlearn.nn import forward, init_model, model_to_json
+from planlearn.nn import model as nn_model
 from planlearn.search import ConstantHeuristic, SearchConfig, SearchResult, gbfs
 from planlearn.seeding import derive_seed
 from planlearn.task import Atom, FdrTask, LiftedTask, StripsAction, StripsTask, ground, parse_pddl
@@ -562,14 +563,51 @@ def reference_forward_backward(model, graphs: list[LearningGraph], dout: np.ndar
     return out, grads
 
 
-def reference_model_gap(g1: LearningGraph, g2: LearningGraph, models: int, seed: int,
-                        layer_count: int = 4, hidden_dim: int = 16) -> float:
+def reference_model_gap(pairs: list[tuple[LearningGraph, LearningGraph]], models: int,
+                        seed: int, layer_count: int = 4, hidden_dim: int = 16) -> float:
     """The per-model loop that `expressiveness.report.model_gap` ran before it
-    evaluated its models in groups: largest |forward(G1) - forward(G2)| over
-    seeded random models, one model and two forwards at a time."""
+    evaluated its models in groups, once per pair: largest |forward(G1) -
+    forward(G2)| over the pairs and seeded random models, one model and two
+    forwards at a time."""
     worst = 0.0
-    for i in range(models):
-        model = init_model(g1.kind, layer_count, hidden_dim, aggregator="mean",
-                           readout="sum", seed=derive_seed(seed, f"gap-model-{i}"))
-        worst = max(worst, abs(forward(model, g1) - forward(model, g2)))
+    for g1, g2 in pairs:
+        for i in range(models):
+            model = init_model(g1.kind, layer_count, hidden_dim, aggregator="mean",
+                               readout="sum", seed=derive_seed(seed, f"gap-model-{i}"))
+            worst = max(worst, abs(forward(model, g1) - forward(model, g2)))
     return worst
+
+
+def reference_forward_packed(model, batch, need_cache: bool = False):
+    """The one-model layer loop that `nn.model.forward_packed` ran before it
+    became a group of one model in the loop `forward_models` runs: outputs
+    for every graph in the batch and, with `need_cache`, the backward cache
+    in the layout `backward_packed` reads."""
+    nn_model._check_kind(model, batch.kind, batch.features.shape[1])
+    p = model.params
+    plan = nn_model._plan(batch, model.hidden_dim)
+
+    h = batch.features @ p["input_proj"].T
+    layer_cache = []
+    for t in range(model.layer_count):
+        z = h @ p[f"layer{t}.self"].T + p[f"layer{t}.bias"]
+        attains = {}
+        for lab, lp in plan.labels.items():
+            agg, attains[lab] = nn_model._aggregate(h @ p[f"layer{t}.label.{lab}"].T, lp,
+                                                    model.aggregator, need_cache)
+            z += agg
+        mask = z > 0
+        new_h = np.where(mask, z, 0.0)
+        if need_cache:
+            layer_cache.append((h, mask, attains))
+        h = new_h
+
+    g, readout_max = nn_model._segment_reduce(h, plan, batch, model.readout)
+    z1 = g @ p["head.w1"].T + p["head.b1"]
+    a1 = np.where(z1 > 0, z1, 0.0)
+    out = a1 @ p["head.w2"] + p["head.b2"][0]
+    if not need_cache:
+        return out, None
+    cache = {"layers": layer_cache, "final_h": h, "g": g, "z1": z1, "a1": a1,
+             "readout_max": readout_max, "plan": plan}
+    return out, cache

@@ -92,7 +92,7 @@ def test_criterion_2_grounded_twins():
         v1, v2 = _three_views(p1), _three_views(p2)
         for kind in ("slg", "flg", "llg"):
             assert wl_refine(v1[kind]).same_colors(wl_refine(v2[kind])), kind
-            gap = model_gap(v1[kind], v2[kind], models=100, seed=7,
+            gap = model_gap([(v1[kind], v2[kind])], models=100, seed=7,
                             layer_count=8, hidden_dim=64)
             assert gap < 1e-5, (kind, gap)
 
@@ -106,7 +106,7 @@ def test_criterion_3_scaling_twins():
             v1, v2 = _three_views(p1), _three_views(p2)
             for kind in ("slg", "flg", "llg"):
                 assert wl_refine(v1[kind]).same_colors(wl_refine(v2[kind])), (n, kind)
-            gap = model_gap(v1["slg"], v2["slg"], models=100, seed=n)
+            gap = model_gap([(v1["slg"], v2["slg"])], models=100, seed=n)
             assert gap < 1e-5, (n, gap)
 
 

@@ -5,7 +5,7 @@ contents, not the current BENCHMARK.json, since the files are a history
 and the workloads change: it names at least one workload, every run was
 correct, digests are 16 hex digits and each summary is the median and
 quartiles of the runs it lists. A file may also hold one traced run per
-workload."""
+workload and one tier-1 run."""
 
 import importlib.util
 import json
@@ -53,6 +53,8 @@ def test_trajectory_file_schema(path):
             assert entry[metric] == {"q1": q1, "median": median, "q3": q3}, (name, metric)
         if "trace" in entry:
             check_trace(entry["trace"], entry["digest"], name)
+    if "tier1" in record:
+        check_tier1(record["tier1"])
 
 
 def check_trace(trace, digest, name):
@@ -65,6 +67,36 @@ def check_trace(trace, digest, name):
     assert layers, name
     for layer in layers:
         assert all(metrics[f"{layer}.{stat}"] >= 0 for stat in ("s", "self_s", "calls")), layer
+
+
+def check_tier1(tier1):
+    """A tier-1 block, which files written before the tool made one lack: a
+    positive wall time, counts, and at most ten durations, slowest first."""
+    assert tier1["wall_s"] > 0 and tier1["passed"] > 0 and tier1["failed"] >= 0
+    durations = [entry["s"] for entry in tier1["slowest"]]
+    assert 0 < len(durations) <= 10 and durations == sorted(durations, reverse=True)
+    assert all(entry["phase"] in ("setup", "call", "teardown") and "::" in entry["test"]
+               for entry in tier1["slowest"])
+
+
+def test_parse_tier1_reads_pytest_output():
+    tool = load_tool()
+    stdout = "\n".join([
+        "....F...                                                                 [100%]",
+        "============================= slowest 10 durations =============================",
+        "56.02s call     tests/test_acceptance.py::test_criterion_9_lifted_generalization",
+        "0.51s setup    tests/test_report.py::test_model_gap_is_tiny_on_twins_and_seeded",
+        "=========================== short test summary info ============================",
+        "FAILED tests/test_cli.py::test_solve_with_trained_models - AssertionError: llg",
+        "1 failed, 494 passed, 2 warnings in 193.42s (0:03:13)",
+    ])
+    assert tool.parse_tier1(stdout, 194.0) == {
+        "wall_s": 194.0, "passed": 494, "failed": 1, "slowest": [
+            {"s": 56.02, "phase": "call",
+             "test": "tests/test_acceptance.py::test_criterion_9_lifted_generalization"},
+            {"s": 0.51, "phase": "setup",
+             "test": "tests/test_report.py::test_model_gap_is_tiny_on_twins_and_seeded"}]}
+    assert tool.parse_tier1("", 1.0) == {"wall_s": 1.0, "passed": 0, "failed": 0, "slowest": []}
 
 
 def test_parse_run_reads_perfbench_output():

@@ -260,7 +260,10 @@ def test_visitall_outputs_do_not_depend_on_hash_seed(tmp_path):
     """Primary outputs are the same in processes with different string hash
     seeds (PEP 456); visitall actions mention several atoms that the initial
     state lacks, so grounding must not intern them in set order. Graphs of
-    every encoding and short trainings cover node order and model bytes."""
+    every encoding and short trainings cover node order and model bytes, the
+    flg graph of a SAS task covers its propositional view, and a small
+    theory run covers the three encodings of its twin tasks, lifted ones
+    included."""
     import os
     import subprocess
     import sys
@@ -290,6 +293,11 @@ def test_visitall_outputs_do_not_depend_on_hash_seed(tmp_path):
                          "--kind", kind, "--max-epochs", "2",
                          "--out-dir", str(root / f"train-{kind}")])
             rels += [f"train-{kind}/model.json", f"train-{kind}/trace.csv"]
+        runs += [["graph", "--sas", str(FIXTURES / "gripper-b1.sas"), "--kind", "flg",
+                  "--out-dir", str(root / "graph-sas-flg")],
+                 ["theory", "--models", "5", "--random-tasks", "20",
+                  "--out-dir", str(root / "theory")]]
+        rels += ["graph-sas-flg/graph.json", "graph-sas-flg/graph.dot", "theory/verdicts.json"]
         for argv in runs:
             done = subprocess.run([sys.executable, "-m", "planlearn.cli", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
@@ -570,12 +578,13 @@ def test_non_finite_oracle_value_writes_nothing(tmp_path, capsys, monkeypatch, o
 @pytest.mark.parametrize("subcommand", [["train", "--kind", "slg"], ["experiment"]],
                          ids=["train", "experiment"])
 @pytest.mark.parametrize("damage", ["truncated-instance", "no-splits", "text-split",
-                                    "text-seed", "duplicate-instance", "number-path",
-                                    "unknown-split", "text-size"])
+                                    "text-seed", "list-domain", "duplicate-instance",
+                                    "number-path", "unknown-split", "text-size"])
 def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcommand, damage):
     """A suite with a truncated instance, or a manifest without a required key,
     with a split that is not a list of sizes, with a seed that is not an
-    integer, with an instance that repeats an earlier one, or with an
+    integer, with a domain that is a list, with an instance that repeats an
+    earlier one, or with an
     instance whose path is not a string or whose split or size is not one of
     the splits', gives one error line naming the file at fault, exit 1 and
     no output."""
@@ -601,6 +610,11 @@ def test_broken_suite_is_one_error_line(tmp_path, capsys, gripper_suite, subcomm
         payload["seed"] = "0"
         manifest.write_text(json.dumps(payload))
         expected = f"error: {manifest}: seed '0' is not an integer"
+    elif damage == "list-domain":
+        payload = json.loads(manifest.read_text())
+        payload["domain"] = ["gripper"]
+        manifest.write_text(json.dumps(payload))
+        expected = f"error: {manifest}: unknown domain ['gripper']"
     elif damage == "duplicate-instance":
         payload = json.loads(manifest.read_text())
         payload["instances"][1] = payload["instances"][0]

@@ -15,6 +15,7 @@ from planlearn.graphs import (
 )
 from planlearn.expressiveness.report import _views
 from planlearn.nn import (
+    backward_packed,
     forward,
     forward_batch,
     forward_models,
@@ -26,7 +27,7 @@ from planlearn.nn.model import AGGREGATORS, READOUTS
 from planlearn.seeding import rng_for
 from planlearn.task import ground, parse_pddl
 
-from helpers import reachable_states
+from helpers import reachable_states, reference_forward_packed
 
 
 def random_graph(kind, n_nodes, n_edges, seed):
@@ -207,6 +208,52 @@ def test_empty_neighborhood_contributes_zero():
     z1 = np.maximum(p["head.w1"] @ pooled + p["head.b1"], 0.0)
     expect = float(p["head.w2"] @ z1 + p["head.b2"][0])
     assert forward(m, g) == pytest.approx(expect, abs=1e-12)
+
+
+# ── the one-model loop against its reference ───────────────────────────────
+
+def _training_batches():
+    """(kind name, batch): 16 gripper-4 states packed into one batch per
+    encoding, the shape of a training batch."""
+    lifted = parse_pddl(DOMAIN_TEXT["gripper"], gripper_problem(4))
+    strips, gmap = ground(lifted)
+    states = reachable_states(strips)
+    states = states[::len(states) // 16][:16]
+    for kind in ("slg", "flg", "llg"):
+        graph_of = state_graphs(kind, strips, lifted, gmap, IndexEncoder(4, seed=0))
+        yield kind, pack_graphs([graph_of(s) for s in states])
+
+
+TRAINING_BATCHES = list(_training_batches())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("readout", READOUTS)
+@pytest.mark.parametrize("aggregator", AGGREGATORS)
+@pytest.mark.parametrize("batch", [batch for _, batch in TRAINING_BATCHES],
+                         ids=[kind for kind, _ in TRAINING_BATCHES])
+def test_forward_packed_equals_the_one_model_reference(batch, aggregator, readout):
+    """forward_packed, a group of one model in the shared layer loop, gives
+    the outputs of the one-model loop it replaced bit for bit, with and
+    without the cache, and backward_packed reads the same gradients from
+    either loop's cache."""
+    assert batch.num_graphs == 16
+    model = init_model(batch.kind, 8, 64, aggregator, readout, seed=11)
+    dout = rng_for(11, "dout").normal(size=16)
+    out, cache = forward_packed(model, batch)
+    want, _ = reference_forward_packed(model, batch)
+    assert cache is None and np.array_equal(_bits(out), _bits(want))
+    out, cache = forward_packed(model, batch, need_cache=True)
+    want, want_cache = reference_forward_packed(model, batch, need_cache=True)
+    assert np.array_equal(_bits(out), _bits(want))
+    grads = backward_packed(model, batch, cache, dout)
+    want_grads = backward_packed(model, batch, want_cache, dout)
+    assert grads.keys() == want_grads.keys() == model.params.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(_bits(grad), _bits(want_grads[name])), name
 
 
 # ── several models on one graph ───────────────────────────────────────────

@@ -22,7 +22,10 @@ run's end-to-end metrics in run order, their median and quartiles, the
 round-0 digest, whether every run was correct and, under `trace`, the
 traced run's correctness, digest and metrics. It also records
 perfbench's environment line, the line count of the Python files under
-`src/` and a digest of their contents, which names the code measured.
+`src/` and a digest of their contents, which names the code measured,
+and under `tier1` one run of the tree's tier-1 suite, made before any
+benchmark run: its wall time, its passed and failed counts and its ten
+slowest `pytest --durations` entries.
 With two trees it prints, per workload and metric, each tree's median and
 quartiles and in how many pairs the second tree read better.
 """
@@ -32,6 +35,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import re
 import statistics
 import subprocess
 import sys
@@ -41,6 +46,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = {"work_per_s": "higher", "peak_rss_mb": "lower", "setup_s": "lower"}
 MIN_REPEATS = 5
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=10"]
+DURATION = re.compile(r"(\d+(?:\.\d+)?)s (setup|call|teardown) +(\S+)")
+OUTCOME = re.compile(r"(\d+) (passed|failed|errors?)\b")
 
 
 def _result(stdout: str) -> dict:
@@ -76,6 +85,28 @@ def parse_trace(stdout: str, returncode: int) -> dict:
     metrics = _result(stdout).get("metrics", {})
     return {"correct": run["correct"], "digest": run["digest"],
             "metrics": {name: metrics[name]["value"] for name in sorted(metrics)}}
+
+
+def parse_tier1(stdout: str, wall_s: float) -> dict:
+    """One tier-1 run: its wall time, the tests passed and failed (errors
+    included) on pytest's summary line, and its `--durations` entries,
+    slowest first."""
+    counts = {"passed": 0, "failed": 0}
+    summary = stdout.strip().splitlines()[-1] if stdout.strip() else ""
+    for count, outcome in OUTCOME.findall(summary):
+        counts["passed" if outcome == "passed" else "failed"] += int(count)
+    slowest = [{"s": float(m[1]), "phase": m[2], "test": m[3]}
+               for m in DURATION.finditer(stdout)]
+    return {"wall_s": wall_s, **counts, "slowest": slowest}
+
+
+def run_tier1(tree: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
+                          text=True)
+    return parse_tier1(proc.stdout, time.perf_counter() - start)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -166,6 +197,11 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     day = time.strftime("%Y%m%d", time.gmtime())
     labels = [tree_label(tree) for tree in trees]
+    tier1 = {}
+    for tree in trees:
+        tier1[tree] = run_tier1(tree)
+        print(f"tier-1 {tree.name}: {tier1[tree]['passed']} passed, "
+              f"{tier1[tree]['failed']} failed in {tier1[tree]['wall_s']:.1f} s", file=sys.stderr)
     runs = {tree: {w: [] for w in workloads} for tree in trees}
     for repeat in range(args.repeats):
         order = trees if repeat % 2 == 0 else trees[::-1]
@@ -190,7 +226,7 @@ def main(argv=None) -> int:
         record = {"tree": label, "date": day,
                   "repeats": args.repeats, "seconds": seconds,
                   "src_lines": lines, "src_digest": digest, "environment": environment,
-                  "workloads": summary}
+                  "tier1": tier1[tree], "workloads": summary}
         path = tree / f"BENCH_{day}_{label}.json"
         path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
         print(f"wrote {path}")
